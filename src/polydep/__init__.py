@@ -21,7 +21,6 @@ from .engine import (
     reduce_step,
     reduction_cap,
     run,
-    std_monomial_of_degree,
 )
 from .laurent import GapValue, Laurent2
 from .oracle import (
@@ -35,7 +34,7 @@ from .oracle import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from .scalar import Field, make_field, parse_field, prime_field, rationals
+from .scalar import Field, parse_field, prime_field, rationals
 from .semigroup import (
     AdmissibleSequence,
     SemigroupReport,
@@ -76,7 +75,6 @@ __all__ = [
     "divides",
     "enumerate_two_admissible",
     "is_one_admissible",
-    "make_field",
     "minimality_certificate",
     "parse_field",
     "prime_field",
@@ -86,7 +84,6 @@ __all__ = [
     "richman_check",
     "run",
     "semigroup_report",
-    "std_monomial_of_degree",
     "substitute",
     "sylvester_matrix",
     "sylvester_resultant",

@@ -29,7 +29,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2
-from .scalar import parse_field, scalar_str
+from .scalar import parse_field
 from .unipoly import UniPoly
 
 SCHEMA_VERSION = "1"
@@ -142,7 +142,7 @@ def parse_polynomial(text, field):
 
 def relation_terms_json(relation):
     return [
-        {"fexp": fe, "gexp": ge, "coeff": scalar_str(c)}
+        {"fexp": fe, "gexp": ge, "coeff": str(c)}
         for (fe, ge), c in relation.sorted_terms()
     ]
 
@@ -153,7 +153,7 @@ def trace_json(trace):
             "step": ev.step,
             "degree_before": ev.degree_before,
             "monomial": {"fexp": ev.monomial.fexp, "gexps": list(ev.monomial.gexps)},
-            "coeff": scalar_str(ev.coefficient),
+            "coeff": str(ev.coefficient),
         }
         for ev in trace
     ]
@@ -212,7 +212,7 @@ def print_depend_text(result, show_trace):
         for ev in result.trace:
             print(
                 f"  step {ev.step}: deg {ev.degree_before}, "
-                f"subtract {scalar_str(ev.coefficient)} * {ev.monomial.render()}"
+                f"subtract {ev.coefficient} * {ev.monomial.render()}"
             )
 
 
@@ -283,18 +283,18 @@ def cmd_semigroup(args):
 
 def cmd_ams(args):
     field, f, g = _parse_inputs(args)
-    generates, divisibility = semigroup.ams_verdict(f, g)
-    result_line = f"K[f,g] = K[z]: {'yes' if generates else 'no'}"
-    if generates:
-        n, m = f.degree, g.degree
-        lo, hi = min(n, m), max(n, m)
-        result_line += f"; divisibility: {lo} | {hi}"
+    if field.characteristic() != 0:
+        raise WrongCharacteristic("the divisibility theorem is characteristic 0")
+    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    generates, divisibility = semigroup.ams_verdict(result)
     if args.json:
-        result = engine.run(f, g, field, max_reductions=args.max_steps)
         verdicts = {"k_fg_equals_k_z": generates, "divisibility_holds": divisibility}
         emit_json(build_report("ams", result, verdicts))
+    elif generates:
+        lo, hi = sorted((f.degree, g.degree))
+        print(f"K[f,g] = K[z]: yes; divisibility: {lo} | {hi}")
     else:
-        print(result_line)
+        print("K[f,g] = K[z]: no")
     return 0
 
 
@@ -318,7 +318,10 @@ def cmd_admissible(args):
     if args.target:
         if args.f is None or args.g is None:
             raise PreconditionFailed("--target needs candidate polynomials f and g")
-        parts = [int(x) for x in args.target.split(",")]
+        try:
+            parts = [int(x) for x in args.target.split(",")]
+        except ValueError:
+            parts = []
         if len(parts) < 2:
             raise PreconditionFailed("--target must be n,m0[,m1,...]")
         target_n, target_ms = parts[0], parts[1:]
@@ -453,13 +456,16 @@ def _dispatch(args):
     return _HANDLERS[args.command](args)
 
 
-def main(argv=None):
+def main(argv=None, batch_allowed=True):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     if args.batch:
+        if not batch_allowed:
+            print("error: --batch is not allowed inside a batch file", file=sys.stderr)
+            return 2
         return _run_batch(args.batch)
     try:
         return _dispatch(args)
@@ -487,7 +493,13 @@ def _run_batch(path):
         if not line or line.startswith("#"):
             continue
         print(f"== line {idx}: {line}")
-        code = main(shlex.split(line))
+        try:
+            argv = shlex.split(line)
+        except ValueError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            code = 2
+        else:
+            code = main(argv, batch_allowed=False)
         worst = max(worst, code)
     return worst
 

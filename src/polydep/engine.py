@@ -206,11 +206,6 @@ def reduction_cap(n, m0):
     return 4 * (n + abs(m0) + 2) * (n + 2)
 
 
-def std_monomial_of_degree(chain, s, deg):
-    """Module-level alias for Chain.std_monomial_of_degree."""
-    return chain.std_monomial_of_degree(s, deg)
-
-
 def reduce_step(chain, s, max_reductions=None):
     """Reduce g_s^{a_s}: eliminate leading terms by standard monomials.
 

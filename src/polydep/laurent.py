@@ -6,13 +6,17 @@ is called negative when fexp < 0.  The gap of an element is the formal ratio
 largest monomial / largest negative monomial, infinite for polynomials, and
 is the tool that certifies polynomiality of reduction chains in
 characteristic zero.
+
+The module also holds the one sparse kernel on raw {(i, j): coeff} dicts
+(sum, difference, product, exact division) that Laurent2, the oracle's
+BivarPoly and its fraction-free determinant all use.
 """
 
 from fractions import Fraction
 from functools import total_ordering
 
 from .errors import FieldMismatch, ZeroElement
-from .scalar import clear_denominators
+from .scalar import clear_denominators, power
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -21,6 +25,75 @@ INF = float("inf")
 def order_key(term):
     """Lexicographic key by (gexp, fexp) for a (fexp, gexp) exponent pair."""
     return (term[1], term[0])
+
+
+# -- the sparse kernel on raw {(i, j): coeff} dicts ------------------------------
+#
+# `reduce` canonicalizes an accumulated coefficient; None keeps raw values,
+# which is what the integer (fraction-free) determinant needs.  Results never
+# hold zero coefficients.
+
+
+def add_terms(a, b, reduce=None, negate=False):
+    """a + b, or a - b when negate is set."""
+    out = dict(a)
+    for k, c in b.items():
+        v = out.get(k, 0) - c if negate else out.get(k, 0) + c
+        if reduce is not None:
+            v = reduce(v)
+        if v:
+            out[k] = v
+        elif k in out:
+            del out[k]
+    return out
+
+
+def mul_terms(a, b, reduce=None):
+    """The convolution a * b."""
+    acc = {}
+    bterms = list(b.items())
+    for (ia, ja), ca in a.items():
+        for (ib, jb), cb in bterms:
+            k = (ia + ib, ja + jb)
+            acc[k] = acc.get(k, 0) + ca * cb
+    if reduce is None:
+        return {k: v for k, v in acc.items() if v}
+    out = {}
+    for k, v in acc.items():
+        v = reduce(v)
+        if v:
+            out[k] = v
+    return out
+
+
+def exact_div_terms(num, den, coeff_div, reduce=None):
+    """q with q * den == num and no negative exponent in q, or None.
+
+    Long division by the lexicographically largest term of den; den must be
+    nonzero.  `coeff_div` divides one coefficient by another.
+    """
+    rem = dict(num)
+    quo = {}
+    dk = max(den)
+    dc = den[dk]
+    dterms = list(den.items())
+    while rem:
+        rk = max(rem)
+        qi, qj = rk[0] - dk[0], rk[1] - dk[1]
+        if qi < 0 or qj < 0:
+            return None
+        c = coeff_div(rem[rk], dc)
+        quo[(qi, qj)] = c
+        for (di, dj), dcf in dterms:
+            k = (qi + di, qj + dj)
+            v = rem.get(k, 0) - c * dcf
+            if reduce is not None:
+                v = reduce(v)
+            if v:
+                rem[k] = v
+            else:
+                rem.pop(k, None)
+    return quo
 
 
 class Laurent2:
@@ -74,7 +147,7 @@ class Laurent2:
 
     def __eq__(self, other):
         return (
-            isinstance(other, Laurent2)
+            type(other) is type(self)
             and self.field == other.field
             and self.terms == other.terms
         )
@@ -101,8 +174,8 @@ class Laurent2:
         return sorted(self.terms.items(), key=lambda kv: order_key(kv[0]), reverse=True)
 
     def _check_field(self, other):
-        if not isinstance(other, Laurent2):
-            raise TypeError(f"expected Laurent2, got {type(other).__name__}")
+        if type(other) is not type(self):
+            raise TypeError(f"expected {type(self).__name__}, got {type(other).__name__}")
         if self.field != other.field:
             raise FieldMismatch("elements over different fields")
 
@@ -110,93 +183,50 @@ class Laurent2:
 
     def __add__(self, other):
         self._check_field(other)
-        reduce = self.field.reduce
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = reduce(out.get(k, 0) + c)
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return Laurent2(self.field, out)
+        return type(self)(self.field, add_terms(self.terms, other.terms, self.field.reduce))
 
     def __sub__(self, other):
         self._check_field(other)
-        reduce = self.field.reduce
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = reduce(out.get(k, 0) - c)
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return Laurent2(self.field, out)
+        return type(self)(
+            self.field, add_terms(self.terms, other.terms, self.field.reduce, negate=True)
+        )
 
     def __neg__(self):
         neg = self.field.neg
-        return Laurent2(self.field, {k: neg(c) for k, c in self.terms.items()})
+        return type(self)(self.field, {k: neg(c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check_field(other)
-        if not self.terms or not other.terms:
-            return Laurent2.zero(self.field)
-        akeys = list(self.terms)
-        bkeys = list(other.terms)
-        avals = [self.terms[k] for k in akeys]
-        bvals = [other.terms[k] for k in bkeys]
-        rational = self.field.p is None
-        if rational:
-            avals, da = clear_denominators(avals)
-            bvals, db = clear_denominators(bvals)
-            den = da * db
-        acc = {}
-        for (fa, ga), ca in zip(akeys, avals):
-            for (fb, gb), cb in zip(bkeys, bvals):
-                k = (fa + fb, ga + gb)
-                acc[k] = acc.get(k, 0) + ca * cb
-        out = {}
-        if rational:
-            for k, v in acc.items():
-                if v:
-                    out[k] = Fraction(v, den)
-        else:
-            p = self.field.p
-            for k, v in acc.items():
-                v %= p
-                if v:
-                    out[k] = v
-        return Laurent2(self.field, out)
+        field = self.field
+        if field.p is not None:
+            return type(self)(field, mul_terms(self.terms, other.terms, field.reduce))
+        # over Q: convolve integer numerators, divide the common denominator out once
+        avals, da = clear_denominators(self.terms.values())
+        bvals, db = clear_denominators(other.terms.values())
+        acc = mul_terms(dict(zip(self.terms, avals)), dict(zip(other.terms, bvals)))
+        den = da * db
+        return type(self)(field, {k: Fraction(v, den) for k, v in acc.items()})
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a Laurent element")
-        result = Laurent2.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, type(self).one(self.field))
 
     def scale(self, k):
         if not k:
-            return Laurent2.zero(self.field)
+            return type(self).zero(self.field)
         reduce = self.field.reduce
-        return Laurent2(self.field, {t: reduce(c * k) for t, c in self.terms.items()})
+        return type(self)(self.field, {t: reduce(c * k) for t, c in self.terms.items()})
 
     def mul_monomial(self, fshift, gshift=0, coeff=None):
         """Multiply by coeff * f^fshift * g^gshift via key translation."""
         if coeff is None:
-            return Laurent2(
+            return type(self)(
                 self.field,
                 {(fe + fshift, ge + gshift): c for (fe, ge), c in self.terms.items()},
             )
         if not coeff:
-            return Laurent2.zero(self.field)
+            return type(self).zero(self.field)
         reduce = self.field.reduce
-        return Laurent2(
+        return type(self)(
             self.field,
             {
                 (fe + fshift, ge + gshift): reduce(c * coeff)
@@ -256,7 +286,7 @@ class Laurent2:
         return text
 
     def __repr__(self):
-        return f"Laurent2({self.render()!r})"
+        return f"{type(self).__name__}({self.render()!r})"
 
 
 def _lterm_str(c, fe, ge):

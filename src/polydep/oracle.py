@@ -1,6 +1,7 @@
 """Independent verification routines.
 
-Three cross-checks that never share code paths with the reduction engine:
+Three cross-checks that never share an algorithm with the reduction engine
+(only the sparse arithmetic of laurent, which BivarPoly reuses):
 direct substitution of a relation at (f(z), g(z)), the Sylvester resultant
 Res_z(f(z) - x, g(z) - y) computed by fraction-free elimination, and a
 brute-force linear-algebra certificate that no dependence of smaller
@@ -22,40 +23,32 @@ from .errors import (
     PreconditionFailed,
     WrongCharacteristic,
 )
-from .laurent import Laurent2
-from .scalar import clear_denominators
+from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
 from .unipoly import FImage, UniPoly
 
 DEFAULT_DEGREE_CAP = 40
 
 
-class BivarPoly:
-    """Sparse polynomial in K[x, y]; x stands for f, y for g."""
+class BivarPoly(Laurent2):
+    """Sparse polynomial in K[x, y]; x stands for f, y for g.
 
-    __slots__ = ("field", "terms")
+    The ring operations are Laurent2's and return BivarPoly; a BivarPoly is
+    never equal to a Laurent2.
+    """
 
-    def __init__(self, field, terms):
-        self.field = field
-        self.terms = {k: c for k, c in terms.items() if c}
+    __slots__ = ()
+
+    # bound in BivarPoly's own namespace, so bivariate products can be counted apart
+    __mul__ = Laurent2.__mul__
+
+    degree_x = Laurent2.deg_f
+    degree_y = Laurent2.deg_g
 
     @classmethod
     def make(cls, field, mapping):
-        out = {}
-        for (xe, ye), v in mapping.items():
-            if xe < 0 or ye < 0:
-                raise ValueError("exponents must be non-negative")
-            c = field.element(v)
-            if c:
-                out[(xe, ye)] = c
-        return cls(field, out)
-
-    @classmethod
-    def zero(cls, field):
-        return cls(field, {})
-
-    @classmethod
-    def one(cls, field):
-        return cls(field, {(0, 0): field.one})
+        if any(xe < 0 for xe, _ in mapping):
+            raise ValueError("exponents must be non-negative")
+        return super().make(field, mapping)
 
     @classmethod
     def from_laurent(cls, element):
@@ -67,142 +60,13 @@ class BivarPoly:
     def to_laurent(self):
         return Laurent2(self.field, dict(self.terms))
 
-    def __bool__(self):
-        return bool(self.terms)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, BivarPoly)
-            and self.field == other.field
-            and self.terms == other.terms
-        )
-
-    __hash__ = None
-
-    @property
-    def degree_x(self):
-        return max(xe for xe, _ in self.terms) if self.terms else float("-inf")
-
-    @property
-    def degree_y(self):
-        return max(ye for _, ye in self.terms) if self.terms else float("-inf")
-
-    def _check_field(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("polynomials over different fields")
-
-    def __add__(self, other):
-        self._check_field(other)
-        reduce = self.field.reduce
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = reduce(out.get(k, 0) + c)
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return BivarPoly(self.field, out)
-
-    def __sub__(self, other):
-        self._check_field(other)
-        reduce = self.field.reduce
-        out = dict(self.terms)
-        for k, c in other.terms.items():
-            v = reduce(out.get(k, 0) - c)
-            if v:
-                out[k] = v
-            elif k in out:
-                del out[k]
-        return BivarPoly(self.field, out)
-
-    def __neg__(self):
-        neg = self.field.neg
-        return BivarPoly(self.field, {k: neg(c) for k, c in self.terms.items()})
-
-    def __mul__(self, other):
-        self._check_field(other)
-        if not self.terms or not other.terms:
-            return BivarPoly.zero(self.field)
-        akeys = list(self.terms)
-        bkeys = list(other.terms)
-        avals = [self.terms[k] for k in akeys]
-        bvals = [other.terms[k] for k in bkeys]
-        rational = self.field.p is None
-        if rational:
-            avals, da = clear_denominators(avals)
-            bvals, db = clear_denominators(bvals)
-            den = da * db
-        acc = {}
-        for (xa, ya), ca in zip(akeys, avals):
-            for (xb, yb), cb in zip(bkeys, bvals):
-                k = (xa + xb, ya + yb)
-                acc[k] = acc.get(k, 0) + ca * cb
-        out = {}
-        if rational:
-            for k, v in acc.items():
-                if v:
-                    out[k] = Fraction(v, den)
-        else:
-            p = self.field.p
-            for k, v in acc.items():
-                v %= p
-                if v:
-                    out[k] = v
-        return BivarPoly(self.field, out)
-
-    def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power")
-        result = BivarPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
-
-    def scale(self, k):
-        if not k:
-            return BivarPoly.zero(self.field)
-        reduce = self.field.reduce
-        return BivarPoly(self.field, {t: reduce(c * k) for t, c in self.terms.items()})
-
     def exact_div(self, divisor):
         """Quotient when divisor divides exactly, else None."""
         if not divisor:
             raise DivisionByZero("bivariate division by zero")
         field = self.field
-        rem = dict(self.terms)
-        quo = {}
-        dk = max(divisor.terms)
-        dc = divisor.terms[dk]
-        dterms = list(divisor.terms.items())
-        reduce = field.reduce
-        while rem:
-            rk = max(rem)
-            qx, qy = rk[0] - dk[0], rk[1] - dk[1]
-            if qx < 0 or qy < 0:
-                return None
-            c = field.div(rem[rk], dc)
-            quo[(qx, qy)] = c
-            for (dx, dy), dcf in dterms:
-                k = (qx + dx, qy + dy)
-                v = reduce(rem.get(k, 0) - c * dcf)
-                if v:
-                    rem[k] = v
-                else:
-                    rem.pop(k, None)
-        return BivarPoly(field, quo)
-
-    def __repr__(self):
-        if not self.terms:
-            return "BivarPoly(0)"
-        bits = []
-        for (xe, ye), c in sorted(self.terms.items(), reverse=True):
-            bits.append(f"{c}*x^{xe}*y^{ye}")
-        return "BivarPoly(" + " + ".join(bits) + ")"
+        quo = exact_div_terms(self.terms, divisor.terms, field.div, field.reduce)
+        return None if quo is None else BivarPoly(field, quo)
 
 
 def substitute(relation, f, g):
@@ -270,63 +134,6 @@ def _int_exact_div(a, b):
     return q
 
 
-def _dict_mul(a, b, reduce):
-    if not a or not b:
-        return {}
-    acc = {}
-    bterms = list(b.items())
-    for (xa, ya), ca in a.items():
-        for (xb, yb), cb in bterms:
-            k = (xa + xb, ya + yb)
-            acc[k] = acc.get(k, 0) + ca * cb
-    if reduce is None:
-        return {k: v for k, v in acc.items() if v}
-    out = {}
-    for k, v in acc.items():
-        v = reduce(v)
-        if v:
-            out[k] = v
-    return out
-
-
-def _dict_sub(a, b, reduce):
-    out = dict(a)
-    for k, c in b.items():
-        v = out.get(k, 0) - c
-        if reduce is not None:
-            v = reduce(v)
-        if v:
-            out[k] = v
-        elif k in out:
-            del out[k]
-    return out
-
-
-def _dict_exact_div(num, den, coeff_div, reduce):
-    rem = dict(num)
-    quo = {}
-    dk = max(den)
-    dc = den[dk]
-    dterms = list(den.items())
-    while rem:
-        rk = max(rem)
-        qx, qy = rk[0] - dk[0], rk[1] - dk[1]
-        if qx < 0 or qy < 0:
-            raise InternalInvariantViolation("fraction-free division failed")
-        c = coeff_div(rem[rk], dc)
-        quo[(qx, qy)] = c
-        for (dx, dy), dcf in dterms:
-            k = (qx + dx, qy + dy)
-            v = rem.get(k, 0) - c * dcf
-            if reduce is not None:
-                v = reduce(v)
-            if v:
-                rem[k] = v
-            else:
-                rem.pop(k, None)
-    return quo
-
-
 def _bareiss_det(rows, reduce, coeff_div):
     """Fraction-free determinant on raw coefficient dicts (Bareiss one-step)."""
     size = len(rows)
@@ -348,21 +155,21 @@ def _bareiss_det(rows, reduce, coeff_div):
             row = m[i]
             mit = row[t]
             for j in range(t + 1, size):
-                num = _dict_sub(
-                    _dict_mul(piv, row[j], reduce),
-                    _dict_mul(mit, trow[j], reduce),
+                num = add_terms(
+                    mul_terms(piv, row[j], reduce),
+                    mul_terms(mit, trow[j], reduce),
                     reduce,
+                    negate=True,
                 )
-                row[j] = num if prev is None else _dict_exact_div(num, prev, coeff_div, reduce)
+                if prev is not None:
+                    num = exact_div_terms(num, prev, coeff_div, reduce)
+                    if num is None:
+                        raise InternalInvariantViolation("fraction-free division failed")
+                row[j] = num
             row[t] = {}
         prev = piv
     det = m[size - 1][size - 1]
-    if sign < 0:
-        if reduce is None:
-            det = {k: -v for k, v in det.items()}
-        else:
-            det = {k: reduce(-v) for k, v in det.items()}
-    return det
+    return det if sign > 0 else add_terms({}, det, reduce, negate=True)
 
 
 def det_fraction_free(matrix, field=None):
@@ -378,10 +185,7 @@ def det_fraction_free(matrix, field=None):
         scale = 1
         rows = []
         for row in matrix:
-            lam = 1
-            for entry in row:
-                for c in entry.terms.values():
-                    lam = lam * c.denominator // math.gcd(lam, c.denominator)
+            lam = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
             scale *= lam
             rows.append(
                 [

@@ -151,11 +151,6 @@ class Field:
         return x % self.p
 
 
-def make_field(kind, p=None):
-    """Validated field constructor; kind is 'rationals' or 'prime_field'."""
-    return Field(kind, p)
-
-
 def rationals():
     return Field(RATIONALS)
 
@@ -176,9 +171,18 @@ def parse_field(text):
     raise InvalidFieldSpec(f"unknown field {text!r}; expected 'q' or 'fp:<p>'")
 
 
-def scalar_str(value):
-    """Canonical text for a scalar: residues as-is, rationals as 'a/b'."""
-    return str(value)
+def power(base, e, one):
+    """base**e for e >= 0 by square-and-multiply; `one` is the ring's identity."""
+    if e < 0:
+        raise ValueError(f"negative power of a {type(base).__name__}")
+    result = one
+    while e:
+        if e & 1:
+            result = result * base
+        e >>= 1
+        if e:
+            base = base * base
+    return result
 
 
 def clear_denominators(values):

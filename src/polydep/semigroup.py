@@ -12,7 +12,7 @@ gcd(n, m_0).  Sequences compatible with the smallest semigroup element being
 from dataclasses import dataclass
 from math import prod
 
-from .engine import run
+from .engine import run  # noqa: F401  (kept public as polydep.semigroup.run)
 from .errors import (
     InternalInvariantViolation,
     PreconditionFailed,
@@ -79,15 +79,13 @@ def contains_degree(report, t):
     return reachable[t]
 
 
-def ams_verdict(f, g):
+def ams_verdict(result):
     """(K[f,g] = K[z]?, and if so whether deg f and deg g divide one another).
 
-    The second component is asserted: a yes/no mismatch would contradict the
-    Abhyankar-Moh-Suzuki theorem and is treated as an internal error.
+    Takes a characteristic-0 DependenceResult.  The second component is
+    asserted: a yes/no mismatch would contradict the Abhyankar-Moh-Suzuki
+    theorem and is treated as an internal error.
     """
-    if f.field.characteristic() != 0:
-        raise WrongCharacteristic("the divisibility theorem is characteristic 0")
-    result = run(f, g)
     report = semigroup_report(result)
     if not report.contains_one:
         return False, None

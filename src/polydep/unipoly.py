@@ -15,7 +15,7 @@ from .errors import (
     FImageBaseMismatch,
     ZeroHasNoDegree,
 )
-from .scalar import clear_denominators
+from .scalar import clear_denominators, power
 
 NEG_INF = float("-inf")
 
@@ -145,17 +145,7 @@ class UniPoly:
         return UniPoly(self.field, [reduce(c * k) for c in self.coeffs])
 
     def __pow__(self, e):
-        if e < 0:
-            raise ValueError("negative power of a polynomial")
-        result = UniPoly.one(self.field)
-        base = self
-        while e:
-            if e & 1:
-                result = result * base
-            e >>= 1
-            if e:
-                base = base * base
-        return result
+        return power(self, e, UniPoly.one(self.field))
 
     def divrem(self, other):
         """Quotient and remainder with deg r < deg other."""

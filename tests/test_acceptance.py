@@ -215,7 +215,7 @@ def test_criterion_7_ams_at_desk_scale(capsys):
     for _ in range(500):
         f, g = automorphic_pair(rng, Q, max_degree=64)
         ok = ok and f.degree <= 64 and g.degree <= 64
-        verdict = ams_verdict(f, g)
+        verdict = ams_verdict(run(f, g))
         ok = ok and verdict == (True, True)
         n, m = f.degree, g.degree
         ok = ok and max(n, m) % min(n, m) == 0

@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from polydep import UniPoly, prime_field, rationals
+from polydep import UniPoly, engine, prime_field, rationals, semigroup
 from polydep.cli import main, parse_polynomial, relation_from_json
 from polydep.errors import CoefficientNotInField, PolySyntaxError
 from gen import random_poly
@@ -190,6 +190,13 @@ def test_admissible_target(capsys):
     assert "realized: yes" in out
 
 
+@pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9"])
+def test_admissible_bad_target_exit2(capsys, target):
+    code, out, err = run_cli(capsys, "admissible", "--target", target, "z^2", "z^3")
+    assert code == 2
+    assert err.startswith("error: --target must be") and not out
+
+
 def test_oracle_command(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--field", "q", "z^4", "z^6 - z")
     assert code == 0
@@ -258,6 +265,47 @@ def test_batch_mode_propagates_worst_exit_code(tmp_path, capsys):
     code, out, err = run_cli(capsys, "--batch", str(batch))
     assert code == 2
     assert "P = g^2 - f^3" in out  # the good line still ran
+
+
+def test_batch_refuses_nested_batch(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_text(f"--batch {batch}\ndepend --field q z^2 z^3\n")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    assert "--batch is not allowed inside a batch file" in err
+    assert "P = g^2 - f^3" in out  # the next line still ran
+
+
+def test_batch_unbalanced_quote_exit2(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_text('depend "z^2 z^3\ndepend --field q z^2 z^3\n')
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    assert err.startswith("error:")
+    assert "P = g^2 - f^3" in out
+
+
+@pytest.mark.parametrize("mode", [["--json"], []])
+def test_ams_runs_engine_once(monkeypatch, capsys, mode):
+    calls = []
+    real = engine.run
+
+    def counting(*args, **kwargs):
+        calls.append(kwargs.get("max_reductions"))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "run", counting)
+    monkeypatch.setattr(semigroup, "run", counting, raising=False)
+    code, _, _ = run_cli(capsys, "ams", *mode, "--max-steps", "50", "z^2 + z", "z")
+    assert code == 0
+    assert calls == [50]
+
+
+def test_ams_char_p_refused_exit2(monkeypatch, capsys):
+    monkeypatch.setattr(engine, "run", None)  # refused before the engine runs
+    code, _, err = run_cli(capsys, "ams", "--field", "fp:2", "z^2", "z^3")
+    assert code == 2
+    assert "characteristic 0" in err
 
 
 def test_batch_missing_file(capsys):

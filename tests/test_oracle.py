@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from polydep import (
     BivarPoly,
@@ -24,6 +26,7 @@ from polydep.errors import (
     PreconditionFailed,
     WrongCharacteristic,
 )
+from polydep.laurent import mul_terms
 from gen import random_pair
 
 Q = rationals()
@@ -226,3 +229,66 @@ def test_from_laurent_rejects_negative_exponents():
 def test_bivar_roundtrip():
     element = Laurent2.make(Q, {(0, 4): 1, (3, 2): -2, (1, 0): -1})
     assert BivarPoly.from_laurent(element).to_laurent() == element
+
+
+# -- the sparse kernel shared with Laurent2 ------------------------------------------
+
+KERNEL_FIELDS = [Q, prime_field(7), prime_field(2**31 - 1)]
+
+term_maps = st.dictionaries(
+    st.tuples(st.integers(0, 4), st.integers(0, 4)), st.integers(-20, 20), max_size=6
+)
+
+
+@st.composite
+def bivar_pairs(draw):
+    field = draw(st.sampled_from(KERNEL_FIELDS))
+    return B(field, draw(term_maps)), B(field, draw(term_maps))
+
+
+def nonconstant(b):
+    return any(k != (0, 0) for k in b.terms)
+
+
+@given(bivar_pairs())
+def test_exact_div_recovers_the_cofactor(pair):
+    a, b = pair
+    assume(nonconstant(b))
+    assert (a * b).exact_div(b) == a
+
+
+@given(bivar_pairs())
+def test_exact_div_none_when_not_exact(pair):
+    a, b = pair
+    assume(nonconstant(b))
+    # b | a*b + 1 would make b a unit, i.e. a constant
+    assert (a * b + BivarPoly.one(a.field)).exact_div(b) is None
+
+
+@given(bivar_pairs())
+def test_operations_keep_the_type(pair):
+    a, b = pair
+    field = a.field
+    la, lb = a.to_laurent(), b.to_laurent()
+    for value in (a + b, a - b, -a, a * b, a**2, a.scale(3), a.mul_monomial(1, 2, 5)):
+        assert type(value) is BivarPoly
+    for value in (la + lb, la - lb, -la, la * lb, la**2, la.scale(3), la.mul_monomial(-1, 2)):
+        assert type(value) is Laurent2
+    assert (a * b).to_laurent() == la * lb
+    assert a != la and BivarPoly.zero(field) != Laurent2.zero(field)
+    with pytest.raises(TypeError):
+        a + la
+
+
+@given(term_maps, term_maps)
+def test_integer_convolution_matches_rational_product(a, b):
+    raw = mul_terms(a, b)
+    assert all(raw.values())
+    assert B(Q, raw) == B(Q, a) * B(Q, b)
+
+
+def test_make_rejects_negative_x_exponent():
+    with pytest.raises(ValueError):
+        B(Q, {(-1, 2): 1})
+    with pytest.raises(ValueError):
+        B(F2, {(1, -2): 1})

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from polydep import make_field, parse_field, prime_field, rationals
+from polydep import Field, parse_field, prime_field, rationals
 from polydep.errors import (
     CoefficientNotInField,
     DivisionByZero,
@@ -21,26 +21,26 @@ F7 = prime_field(7)
 
 
 def test_make_field_rationals():
-    field = make_field(RATIONALS)
+    field = Field(RATIONALS)
     assert field.characteristic() == 0
     assert field.name() == "q"
 
 
 def test_make_field_f2():
-    field = make_field(PRIME_FIELD, 2)
+    field = Field(PRIME_FIELD, 2)
     assert field.characteristic() == 2
 
 
 def test_make_field_rejects_composite():
     with pytest.raises(NotPrime):
-        make_field(PRIME_FIELD, 4)
+        Field(PRIME_FIELD, 4)
     with pytest.raises(NotPrime):
-        make_field(PRIME_FIELD, 1)
+        Field(PRIME_FIELD, 1)
 
 
 def test_make_field_requires_modulus():
     with pytest.raises(MissingModulus):
-        make_field(PRIME_FIELD)
+        Field(PRIME_FIELD)
 
 
 def test_is_prime_small():
