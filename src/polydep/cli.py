@@ -21,6 +21,7 @@ from .errors import (
     FieldMismatch,
     InternalInvariantViolation,
     InvalidFieldSpec,
+    IterationCapExceeded,
     MissingModulus,
     NotPrime,
     PolydepError,
@@ -473,6 +474,10 @@ def main(argv=None, batch_allowed=True):
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InternalInvariantViolation as exc:
+        if isinstance(exc, IterationCapExceeded) and args.max_steps is not None:
+            # a budget the user set ran out; only the built-in cap signals a bug
+            print(f"error: --max-steps {args.max_steps} exhausted: {exc}", file=sys.stderr)
+            return 2
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 3
     except PolydepError as exc:

@@ -23,20 +23,95 @@ RATIONALS = "rationals"
 PRIME_FIELD = "prime_field"
 
 
+# Bases 2..41 make Miller-Rabin deterministic below this bound, the least
+# strong pseudoprime to all thirteen of them (Sorenson and Webster, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def is_prime(n):
-    """Deterministic trial division; moduli here are desk-scale."""
+    """Deterministic Miller-Rabin below _MR_BOUND, Baillie-PSW at and above.
+
+    No composite is known to pass Baillie-PSW (a base-2 strong test and a
+    strong Lucas test); none exists below 2^64.
+    """
     if n < 2:
         return False
-    if n < 4:
+    for q in _MR_BASES:
+        if n % q == 0:
+            return n == q
+    d, s = n - 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    if n < _MR_BOUND:
+        return all(_strong_probable_prime(n, a, d, s) for a in _MR_BASES)
+    return _strong_probable_prime(n, 2, d, s) and _strong_lucas_probable_prime(n)
+
+
+def _strong_probable_prime(n, a, d, s):
+    """The strong (Miller-Rabin) test of odd n to base a; n - 1 = d * 2^s."""
+    x = pow(a, d, n)
+    if x == 1 or x == n - 1:
         return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a, n):
+    """The Jacobi symbol (a/n) for odd n > 0."""
+    a %= n
+    result = 1
+    while a:
+        while not a & 1:
+            a >>= 1
+            if n % 8 in (3, 5):
+                result = -result
+        a, n = n, a
+        if a % 4 == 3 and n % 4 == 3:
+            result = -result
+        a %= n
+    return result if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n):
+    """The strong Lucas test of odd n > 41 with Selfridge's parameters.
+
+    D is the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1 and
+    Q = (1 - D) / 4; n + 1 = d * 2^s.  n passes when U_d = 0 or
+    V_(d*2^r) = 0 for some 0 <= r < s, all mod n.
+    """
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D with (D/n) = -1 exists for a square
+    D = 5
+    while True:
+        j = _jacobi(D, n)
+        if j == -1:
+            break
+        if j == 0:
+            return False  # 1 < gcd(|D|, n) < n, since n > 41 >= |D| here
+        D = -D - 2 if D > 0 else -D + 2
+    Q = (1 - D) // 4
+    d, s = n + 1, 0
+    while not d & 1:
+        d >>= 1
+        s += 1
+    half = (n + 1) // 2  # the inverse of 2 mod n
+    U, V, Qk = 1, 1, Q % n  # U_1, V_1 (P = 1), Q^1
+    for bit in bin(d)[3:]:
+        U, V, Qk = U * V % n, (V * V - 2 * Qk) % n, Qk * Qk % n
+        if bit == "1":
+            U, V, Qk = (U + V) * half % n, (D * U + V) * half % n, Qk * Q % n
+    if U == 0 or V == 0:
+        return True
+    for _ in range(s - 1):
+        V, Qk = (V * V - 2 * Qk) % n, Qk * Qk % n
+        if V == 0:
+            return True
+    return False
 
 
 class Field:
@@ -188,9 +263,10 @@ def power(base, e, one):
 def clear_denominators(values):
     """Scale Fractions to ints by their lcm denominator: (ints, denominator).
 
-    Multiplication kernels convolve in plain integers and divide the common
-    denominator back out once per output coefficient, which avoids a gcd per
-    elementary product.
+    For reduced Fractions, gcd(denominator, *ints) is 1: this is the form in
+    which `UniPoly` stores a polynomial over Q.  `Laurent2` products convolve
+    in these plain integers and divide the common denominator back out once
+    per output coefficient, which avoids a gcd per elementary product.
     """
     den = 1
     for v in values:

@@ -1,12 +1,24 @@
 """Dense univariate polynomials K[z] and the subring K[z, f(z)^-1] of K(z).
 
-`UniPoly` is the ambient ring; `FImage` represents num / f(z)^fpow for one
-fixed base polynomial f, which is the only denominator the reduction
-algorithm ever needs.  The z-degree of such a fraction is deg(num) minus
-fpow*deg(f), matching the degree of a rational function as numerator degree
-minus denominator degree.
+`UniPoly` is the ambient ring.  It stores a polynomial as integers over one
+denominator: `nums`, a tuple of ints from the constant term up, and `den`,
+a positive int, so that the coefficient of z^k is nums[k] / den.  Over F_p
+the nums are residues in [0, p) and den is 1.  The form is canonical:
+gcd(den, *nums) == 1, the last num is nonzero, and the zero polynomial is
+((), 1); so two polynomials are equal exactly when their (field, nums, den)
+are.  Products are one Kronecker substitution: each vector is packed into
+one big integer, the two integers are multiplied once, and the product is
+cut back into coefficients.  Sums work over the lcm of the denominators.
+Every result is brought to canonical form by one gcd over its integers,
+never by one `Fraction` per coefficient.
+
+`FImage` represents num / f(z)^fpow for one fixed base polynomial f, which
+is the only denominator the reduction algorithm ever needs.  The z-degree
+of such a fraction is deg(num) minus fpow*deg(f), matching the degree of a
+rational function as numerator degree minus denominator degree.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -20,18 +32,75 @@ from .scalar import clear_denominators, power
 NEG_INF = float("-inf")
 
 
-class UniPoly:
-    """Dense polynomial over a Field; trailing coefficient nonzero."""
+def _pack(vec, width, half, slot):
+    """sum vec[i] * 2^(8*width*i) as one int; every |vec[i]| < half."""
+    packed = b"".join([(c + half).to_bytes(width, "little") for c in vec])
+    return int.from_bytes(packed, "little") - int.from_bytes(slot * len(vec), "little")
 
-    __slots__ = ("field", "coeffs")
+
+def _kronecker(a, b):
+    """The convolution of two nonempty int vectors by one big-int product.
+
+    No output coefficient exceeds max|a| * max|b| * min(len a, len b) in
+    absolute value, and each slot of `width` bytes leaves room for that
+    bound plus a sign bit.  So the product of the packed integers, plus
+    `half` in every slot, has each output coefficient plus `half` as its
+    own base-2^(8*width) digit, with no carry between slots.
+    """
+    bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
+    width = bound.bit_length() // 8 + 1
+    half = 1 << (8 * width - 1)
+    slot = half.to_bytes(width, "little")
+    n = len(a) + len(b) - 1
+    x = _pack(a, width, half, slot)
+    y = x if b is a else _pack(b, width, half, slot)
+    size = width * n
+    raw = (x * y + int.from_bytes(slot * n, "little")).to_bytes(size, "little")
+    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+
+
+class UniPoly:
+    """Dense polynomial over a Field: nums / den in canonical form."""
+
+    __slots__ = ("field", "nums", "den")
 
     def __init__(self, field, coeffs):
-        # Assumes canonical scalars; trims trailing zeros.
+        """Build from canonical scalars, low to high; trims trailing zeros."""
         n = len(coeffs)
         while n and not coeffs[n - 1]:
             n -= 1
         self.field = field
-        self.coeffs = tuple(coeffs[:n])
+        if field.p is None:
+            nums, self.den = clear_denominators(coeffs[:n])
+            self.nums = tuple(nums)
+        else:
+            self.nums = tuple(coeffs[:n])
+            self.den = 1
+
+    @classmethod
+    def _new(cls, field, nums, den):
+        """Wrap a tuple already in canonical form."""
+        poly = object.__new__(cls)
+        poly.field = field
+        poly.nums = nums
+        poly.den = den
+        return poly
+
+    @classmethod
+    def _normal(cls, field, nums, den):
+        """Canonical form of nums / den: a list of ints, den > 0."""
+        n = len(nums)
+        while n and not nums[n - 1]:
+            n -= 1
+        if not n:
+            return cls._new(field, (), 1)
+        del nums[n:]
+        if den != 1:
+            g = math.gcd(den, *nums)
+            if g != 1:
+                den //= g
+                nums = [c // g for c in nums]
+        return cls._new(field, tuple(nums), den)
 
     @classmethod
     def make(cls, field, values):
@@ -40,15 +109,15 @@ class UniPoly:
 
     @classmethod
     def zero(cls, field):
-        return cls(field, ())
+        return cls._new(field, (), 1)
 
     @classmethod
     def one(cls, field):
-        return cls(field, (field.one,))
+        return cls._new(field, (1,), 1)
 
     @classmethod
     def z(cls, field):
-        return cls(field, (field.zero, field.one))
+        return cls._new(field, (0, 1), 1)
 
     @classmethod
     def monomial(cls, field, k, coeff=1):
@@ -59,33 +128,45 @@ class UniPoly:
 
     # -- structure -----------------------------------------------------------
 
+    @property
+    def coeffs(self):
+        """The coefficients as canonical scalars, low to high; built on access."""
+        if self.field.p is not None:
+            return self.nums
+        den = self.den
+        return tuple(Fraction(c, den) for c in self.nums)
+
+    def _scalar(self, c):
+        return c if self.field.p is not None else Fraction(c, self.den)
+
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.nums)
 
     @property
     def degree(self):
         """Degree, with the zero polynomial at -infinity."""
-        return len(self.coeffs) - 1 if self.coeffs else NEG_INF
+        return len(self.nums) - 1 if self.nums else NEG_INF
 
     def leading_coefficient(self):
-        if not self.coeffs:
+        if not self.nums:
             raise ZeroHasNoDegree("zero polynomial has no leading coefficient")
-        return self.coeffs[-1]
+        return self._scalar(self.nums[-1])
 
     def coefficient(self, k):
-        if 0 <= k < len(self.coeffs):
-            return self.coeffs[k]
+        if 0 <= k < len(self.nums):
+            return self._scalar(self.nums[k])
         return self.field.zero
 
     def __eq__(self, other):
         return (
             isinstance(other, UniPoly)
             and self.field == other.field
-            and self.coeffs == other.coeffs
+            and self.nums == other.nums
+            and self.den == other.den
         )
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.nums, self.den))
 
     def _check_field(self, other):
         if not isinstance(other, UniPoly):
@@ -95,54 +176,56 @@ class UniPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def __add__(self, other):
+    def _combine(self, other, sign):
+        """self + sign * other, over the lcm of the two denominators."""
         self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        reduce = self.field.reduce
-        for i, bi in enumerate(b):
-            out[i] = reduce(out[i] + bi)
-        return UniPoly(self.field, out)
+        a, b = self.nums, other.nums
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, sign * (self.den // g)
+        n = min(len(a), len(b))
+        out = [x * ma + y * mb for x, y in zip(a, b)]
+        if len(a) > n:
+            out += [x * ma for x in a[n:]]
+        else:
+            out += [y * mb for y in b[n:]]
+        p = self.field.p
+        if p is not None:
+            out = [c % p for c in out]
+        return UniPoly._normal(self.field, out, self.den * ma)
+
+    def __add__(self, other):
+        return self._combine(other, 1)
 
     def __sub__(self, other):
-        self._check_field(other)
-        a, b = self.coeffs, other.coeffs
-        out = list(a) + [self.field.zero] * (len(b) - len(a))
-        reduce = self.field.reduce
-        for i, bi in enumerate(b):
-            out[i] = reduce(out[i] - bi)
-        return UniPoly(self.field, out)
+        return self._combine(other, -1)
 
     def __neg__(self):
-        neg = self.field.neg
-        return UniPoly(self.field, [neg(c) for c in self.coeffs])
+        p = self.field.p
+        if p is None:
+            return UniPoly._new(self.field, tuple([-c for c in self.nums]), self.den)
+        return UniPoly._new(self.field, tuple([-c % p for c in self.nums]), 1)
 
     def __mul__(self, other):
         self._check_field(other)
-        a, b = self.coeffs, other.coeffs
+        a, b = self.nums, other.nums
         if not a or not b:
             return UniPoly.zero(self.field)
-        if self.field.p is None:
-            a, da = clear_denominators(a)
-            b, db = clear_denominators(b)
-            den = da * db
-        out = [0] * (len(a) + len(b) - 1)
-        for i, ai in enumerate(a):
-            if ai:
-                for j, bj in enumerate(b):
-                    out[i + j] += ai * bj
-        if self.field.p is None:
-            return UniPoly(self.field, [Fraction(c, den) for c in out])
+        out = _kronecker(a, b)
         p = self.field.p
-        return UniPoly(self.field, [c % p for c in out])
+        if p is not None:
+            # lc(a) * lc(b) is nonzero mod p, so there is no trailing zero
+            return UniPoly._new(self.field, tuple([c % p for c in out]), 1)
+        return UniPoly._normal(self.field, out, self.den * other.den)
 
     def scale(self, k):
-        if not k:
+        """k * self for a canonical scalar k."""
+        if not k or not self.nums:
             return UniPoly.zero(self.field)
-        reduce = self.field.reduce
-        return UniPoly(self.field, [reduce(c * k) for c in self.coeffs])
+        p = self.field.p
+        if p is not None:
+            return UniPoly._new(self.field, tuple([c * k % p for c in self.nums]), 1)
+        kn = k.numerator
+        return UniPoly._normal(self.field, [c * kn for c in self.nums], self.den * k.denominator)
 
     def __pow__(self, e):
         return power(self, e, UniPoly.one(self.field))
@@ -153,30 +236,33 @@ class UniPoly:
         if not other:
             raise DivisionByZero("polynomial division by zero")
         field = self.field
-        b = other.coeffs
-        db = len(b) - 1
-        if len(self.coeffs) - 1 < db:
+        db = len(other.nums) - 1
+        if len(self.nums) - 1 < db:
             return UniPoly.zero(field), self
+        b = other.coeffs
         inv_lb = field.inv(b[-1])
         a = list(self.coeffs)
-        reduce = field.reduce
+        p = field.p
         q = [field.zero] * (len(a) - db)
         for k in range(len(a) - db - 1, -1, -1):
-            c = a[k + db]
+            c = a[k + db] * inv_lb
+            if p is not None:
+                c %= p
             if c:
-                c = reduce(c * inv_lb)
                 q[k] = c
                 for i in range(db):
-                    a[k + i] = reduce(a[k + i] - c * b[i])
-        return UniPoly(field, q), UniPoly(field, a[:db])
+                    a[k + i] -= c * b[i]
+        # over F_p the remainder was left unreduced; make() reduces it
+        return UniPoly(field, q), UniPoly.make(field, a[:db])
 
     def render(self, var="z"):
         """Canonical text, terms in descending power."""
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         parts = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
+        for k in range(len(coeffs) - 1, -1, -1):
+            c = coeffs[k]
             if not c:
                 continue
             sign = "-" if c < 0 else "+"
@@ -238,12 +324,12 @@ class FImage:
         """deg(num) - fpow*deg(f); the degree as a rational function of z."""
         if not self.num:
             raise ZeroHasNoDegree("zero element has no z-degree")
-        return len(self.num.coeffs) - 1 - self.fpow * (len(self.f_ref.coeffs) - 1)
+        return self.num.degree - self.fpow * self.f_ref.degree
 
     def leading_coefficient(self):
         if not self.num:
             raise ZeroHasNoDegree("zero element has no leading coefficient")
-        return self.num.coeffs[-1]
+        return self.num.leading_coefficient()
 
     def z_leading_coefficient(self):
         """Coefficient of the top z-power of the Laurent expansion.

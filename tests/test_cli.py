@@ -1,12 +1,13 @@
 import json
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from polydep import UniPoly, engine, prime_field, rationals, semigroup
 from polydep.cli import main, parse_polynomial, relation_from_json
-from polydep.errors import CoefficientNotInField, PolySyntaxError
+from polydep.errors import CoefficientNotInField, IterationCapExceeded, PolySyntaxError
 from gen import random_poly
 
 Q = rationals()
@@ -116,6 +117,35 @@ def test_json_deterministic(capsys):
     code2, out2, _ = run_cli(capsys, *args)
     assert code1 == code2 == 0
     assert out1 == out2
+
+
+GOLDEN = Path(__file__).parent / "golden"
+# dense non-monic (8,12) pairs: over Q with leading coefficients (2, -3), whose
+# coefficients grow to fractions with large denominators, and over F_(2^31-1)
+GOLDEN_REPORTS = {
+    "depend_q_8_12.json": (
+        "q",
+        "2*z^8 - 3*z^7 - 3*z^6 + 3*z^5 - 2*z^4 - 2*z^3 + z^2 - z - 2",
+        "-3*z^12 + z^11 + z^10 + z^9 + z^8 + z^7 - 3*z^6 + 3*z^5 + z^4 - 2*z^3"
+        " + 2*z^2 - 2*z - 2",
+    ),
+    "depend_fp_8_12.json": (
+        "fp:2147483647",
+        "1629992277*z^8 + 502904075*z^7 + 1041743209*z^6 + 192340715*z^5"
+        " + 864756809*z^4 + 1783530849*z^3 + 1927021341*z^2 + 412812577*z + 1230776407",
+        "554816812*z^12 + 1423700470*z^11 + 244235304*z^10 + 1559077286*z^9"
+        " + 814058265*z^8 + 1956697405*z^7 + 1937168321*z^6 + 1018600931*z^5"
+        " + 875451480*z^4 + 1117073374*z^3 + 572878754*z^2 + 1505733522*z + 42931001",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_REPORTS))
+def test_depend_json_trace_golden(capsys, name):
+    field, f, g = GOLDEN_REPORTS[name]
+    code, out, err = run_cli(capsys, "depend", "--json", "--trace", "--field", field, "--", f, g)
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
 def test_json_roundtrip_relation(capsys):
@@ -237,12 +267,22 @@ def test_coefficient_not_in_field_exit2(capsys):
     assert code == 2
 
 
-def test_internal_cap_exit3(capsys):
-    code, _, err = run_cli(
-        capsys, "depend", "--field", "q", "z^4", "z^6 - z", "--max-steps", "1"
-    )
+def test_internal_cap_exit3(capsys, monkeypatch):
+    # the built-in cap is reached only by a bug, so it stays an internal error
+    monkeypatch.setattr(engine, "reduction_cap", lambda n, m0: 1)
+    code, _, err = run_cli(capsys, "depend", "--field", "q", "z^4", "z^6 - z")
     assert code == 3
-    assert "invariant" in err or "cap" in err.lower() or "exceeded" in err
+    assert err.startswith("internal invariant violation: step 1 exceeded 1 reductions")
+
+
+def test_max_steps_exhausted_exit2(capsys):
+    for argv in (["z^4", "z^6 - z", "--max-steps", "1"], ["z^2", "z^3", "--max-steps", "0"]):
+        code, out, err = run_cli(capsys, "depend", "--field", "q", *argv)
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: --max-steps {argv[-1]} exhausted: step ")
+    with pytest.raises(IterationCapExceeded):
+        engine.run(parse_polynomial("z^2", Q), parse_polynomial("z^3", Q), max_reductions=0)
 
 
 def test_batch_mode(tmp_path, capsys):

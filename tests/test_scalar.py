@@ -13,7 +13,13 @@ from polydep.errors import (
     MissingModulus,
     NotPrime,
 )
-from polydep.scalar import PRIME_FIELD, RATIONALS, clear_denominators, is_prime
+from polydep.scalar import (
+    PRIME_FIELD,
+    RATIONALS,
+    _strong_lucas_probable_prime,
+    clear_denominators,
+    is_prime,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -43,8 +49,66 @@ def test_make_field_requires_modulus():
         Field(PRIME_FIELD)
 
 
+def trial_division(n):
+    """The reference: n is prime when no d <= sqrt(n) divides it."""
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
+
+
+def strong_probable_prime(n, a):
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    x = pow(a, d, n)
+    return x in (1, n - 1) or any(pow(x, 2**r, n) == n - 1 for r in range(1, s))
+
+
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def test_is_prime_small():
     assert [n for n in range(2, 30) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+
+def test_is_prime_matches_trial_division():
+    assert all(is_prime(n) == trial_division(n) for n in range(-5, 200_000))
+
+
+def test_is_prime_rejects_pseudoprimes():
+    # Carmichael numbers, and strong pseudoprimes to bases 2..5 and 2..23
+    for n in (561, 41041, 3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    # passes bases 2..37 and fails only 41
+    n = 318665857834031151167461
+    assert [a for a in MR_BASES if not strong_probable_prime(n, a)] == [41]
+    assert not is_prime(n)
+    # passes all thirteen bases, so only the Lucas half of Baillie-PSW rejects it
+    n = 3317044064679887385961981
+    assert all(strong_probable_prime(n, a) for a in MR_BASES)
+    assert not is_prime(n)
+
+
+def test_is_prime_large_primes_and_composites():
+    for k in (61, 89, 127):
+        assert is_prime(2**k - 1)
+    # a square (no Selfridge parameter exists) and a product of two primes
+    for n in ((2**61 - 1) ** 2, (2**61 - 1) * (2**89 - 1)):
+        assert not is_prime(n)
+
+
+def test_strong_lucas_pseudoprimes():
+    # the least strong Lucas pseudoprimes with Selfridge's parameters (OEIS A217255)
+    found = [n for n in range(43, 30_000, 2) if _strong_lucas_probable_prime(n)
+             and not trial_division(n)]
+    assert found == [5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199]
+    assert all(_strong_lucas_probable_prime(n) for n in range(43, 30_000, 2)
+               if trial_division(n))
 
 
 def test_rational_arithmetic():

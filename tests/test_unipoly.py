@@ -1,8 +1,9 @@
+import math
 import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydep import NEG_INF, FImage, UniPoly, prime_field, rationals
@@ -87,6 +88,154 @@ def test_divrem_roundtrip(ca, cb):
         q, r = a.divrem(b)
         assert q * b + r == a
         assert r.degree < b.degree
+
+
+# -- the integer-vector kernel against a schoolbook Fraction reference ---------
+
+BIG = 2**200
+PRIMES = (2, 3, 2**31 - 1, 2**61 - 1)
+
+
+def ref_canon(values, p):
+    """Reference canonical scalars: reduced mod p or Fractions, trimmed."""
+    out = [v % p if p else Fraction(v) for v in values]
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def ref_mul(a, b, p):
+    if not a or not b:
+        return ()
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return ref_canon(out, p)
+
+
+def ref_add(a, b, p, sign=1):
+    n = max(len(a), len(b))
+    a, b = list(a) + [0] * (n - len(a)), list(b) + [0] * (n - len(b))
+    return ref_canon([x + sign * y for x, y in zip(a, b)], p)
+
+
+def ref_divrem(a, b, p):
+    inv = (lambda c: pow(c, -1, p)) if p else (lambda c: 1 / c)
+    a, q = list(a), [0] * max(len(a) - len(b) + 1, 0)
+    for k in range(len(a) - len(b), -1, -1):
+        c = a[k + len(b) - 1] * inv(b[-1])
+        q[k] = c
+        for i, y in enumerate(b):
+            a[k + i] -= c * y
+    return ref_canon(q, p), ref_canon(a[: len(b) - 1], p)
+
+
+def assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    if not x.nums:
+        assert x.den == 1
+    else:
+        assert x.nums[-1] != 0
+    if x.field.p is not None:
+        assert x.den == 1 and all(0 <= c < x.field.p for c in x.nums)
+    again = UniPoly.make(x.field, x.coeffs)
+    assert again == x and hash(again) == hash(x)
+    assert again.nums == x.nums and again.den == x.den
+
+
+def vectors(scalar, max_size):
+    """Lists of every length from 1 to max_size, not mostly short ones."""
+    return st.integers(1, max_size).flatmap(
+        lambda n: st.lists(scalar, min_size=n, max_size=n)
+    )
+
+
+def q_vectors(max_size=80):
+    """Rationals up to 2^200 over 2^200, small ones and runs of zeros."""
+    scalar = st.one_of(
+        st.just(Fraction(0)),
+        st.fractions(min_value=-3, max_value=3, max_denominator=6),
+        st.builds(Fraction, st.integers(-BIG, BIG), st.integers(1, BIG)),
+    )
+    return vectors(scalar, max_size)
+
+
+@st.composite
+def fp_vectors(draw, max_size=80):
+    """A prime of PRIMES and two coefficient lists with entries near p."""
+    p = draw(st.sampled_from(PRIMES))
+    scalar = st.one_of(
+        st.just(0), st.integers(0, p - 1), st.integers(max(0, p - 3), p - 1)
+    )
+    return prime_field(p), draw(vectors(scalar, max_size)), draw(vectors(scalar, max_size))
+
+
+def check_ring_ops(field, ca, cb):
+    p = field.p
+    a, b = UniPoly.make(field, ca), UniPoly.make(field, cb)
+    ra, rb = ref_canon(ca, p), ref_canon(cb, p)
+    assert a.coeffs == ra and b.coeffs == rb
+    k = rb[-1] if rb else field.zero
+    for got, want in (
+        (a * b, ref_mul(ra, rb, p)),
+        (a * a, ref_mul(ra, ra, p)),
+        (a + b, ref_add(ra, rb, p)),
+        (a - b, ref_add(ra, rb, p, -1)),
+        (-a, ref_add((), ra, p, -1)),
+        (a - a, ()),
+        ((a + b) - b, ra),
+        (a.scale(k), ref_canon([c * k for c in ra], p)),
+    ):
+        assert got.coeffs == want
+        assert_canonical(got)
+    if b:
+        q, r = a.divrem(b)
+        assert (q.coeffs, r.coeffs) == ref_divrem(ra, rb, p)
+        assert_canonical(q)
+        assert_canonical(r)
+
+
+@settings(max_examples=30, deadline=None)
+@given(q_vectors(), q_vectors())
+def test_kernel_matches_reference_over_q(ca, cb):
+    check_ring_ops(Q, ca, cb)
+
+
+@settings(max_examples=60, deadline=None)
+@given(fp_vectors())
+def test_kernel_matches_reference_over_fp(case):
+    check_ring_ops(*case)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(
+    st.tuples(st.just(Q), q_vectors(max_size=10)),
+    fp_vectors(max_size=10).map(lambda case: case[:2]),
+), st.integers(0, 5))
+def test_pow_matches_reference(case, e):
+    field, ca = case
+    p = field.p
+    want = ref_canon([1], p)
+    for _ in range(e):
+        want = ref_mul(want, ref_canon(ca, p), p)
+    got = UniPoly.make(field, ca) ** e
+    assert got.coeffs == want
+    assert_canonical(got)
+
+
+def test_kronecker_slots_at_the_bound():
+    # every output coefficient reaches the bound max|a| * max|b| * min(len)
+    # exactly, for magnitudes on both sides of each byte boundary
+    for bits in range(1, 41):
+        m = 2**bits - 1
+        for la, lb in ((1, 1), (1, 5), (3, 3), (7, 2)):
+            for sa, sb in ((1, 1), (1, -1), (-1, -1)):
+                ca, cb = [sa * m] * la, [sb * m] * lb
+                assert (poly(Q, *ca) * poly(Q, *cb)).coeffs == ref_mul(ca, cb, None)
+                alt = [m * (-1) ** i for i in range(la)]
+                assert (poly(Q, *alt) * poly(Q, *alt)).coeffs == ref_mul(alt, alt, None)
 
 
 # -- FImage ------------------------------------------------------------------
