@@ -8,6 +8,7 @@ coefficients rendered as exact fraction/residue strings.
 """
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -129,8 +130,8 @@ def parse_polynomial(text, field):
                 f"{num}/{den} has no image in {field.name()}"
             ) from None
         if negative:
-            value = field.neg(value)
-        coeffs[exponent] = field.add(coeffs.get(exponent, field.zero), value)
+            value = -value
+        coeffs[exponent] = field.reduce(coeffs.get(exponent, field.zero) + value)
     top = max(coeffs)
     dense = [field.zero] * (top + 1)
     for k, c in coeffs.items():
@@ -182,9 +183,7 @@ def relation_from_json(terms, field):
     """Rebuild the relation from serialized terms only."""
     out = {}
     for item in terms:
-        c = field.element(item["coeff"])
-        if c:
-            out[(item["fexp"], item["gexp"])] = c
+        out[(item["fexp"], item["gexp"])] = field.element(item["coeff"])
     return Laurent2(field, out)
 
 
@@ -229,7 +228,7 @@ def _parse_inputs(args):
 
 def cmd_depend(args):
     field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     if args.json:
         emit_json(build_report("depend", result))
     else:
@@ -239,7 +238,7 @@ def cmd_depend(args):
 
 def cmd_verify(args):
     field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     report = build_report("verify", result)
     round_tripped = json.loads(json.dumps(report))
     relation = relation_from_json(round_tripped["relation"], field)
@@ -259,7 +258,7 @@ def cmd_verify(args):
 
 def cmd_semigroup(args):
     field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     report = semigroup.semigroup_report(result)
     if args.json:
         verdicts = {
@@ -286,7 +285,7 @@ def cmd_ams(args):
     field, f, g = _parse_inputs(args)
     if field.characteristic() != 0:
         raise WrongCharacteristic("the divisibility theorem is characteristic 0")
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     generates, divisibility = semigroup.ams_verdict(result)
     if args.json:
         verdicts = {"k_fg_equals_k_z": generates, "divisibility_holds": divisibility}
@@ -301,7 +300,7 @@ def cmd_ams(args):
 
 def cmd_richman(args):
     field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     first = result.chain.steps[0]
     ok = semigroup.richman_check(result)
     if args.json:
@@ -327,7 +326,7 @@ def cmd_admissible(args):
             raise PreconditionFailed("--target must be n,m0[,m1,...]")
         target_n, target_ms = parts[0], parts[1:]
         field, f, g = _parse_inputs(args)
-        result = engine.run(f, g, field, max_reductions=args.max_steps)
+        result = engine.run(f, g, max_reductions=args.max_steps)
         realized = semigroup.matches_degree_sequence(result, target_n, target_ms)
         if args.json:
             verdicts = {
@@ -360,12 +359,8 @@ def cmd_admissible(args):
 
 def cmd_oracle(args):
     field, f, g = _parse_inputs(args)
-    if f.degree + g.degree > oracle.DEFAULT_DEGREE_CAP:
-        raise DegreeCapExceeded(
-            f"deg f + deg g = {f.degree + g.degree} exceeds the oracle cap "
-            f"{oracle.DEFAULT_DEGREE_CAP}"
-        )
-    result = engine.run(f, g, field, max_reductions=args.max_steps)
+    oracle.check_degree_cap(f, g)
+    result = engine.run(f, g, max_reductions=args.max_steps)
     image = oracle.substitute(result.relation, result.f, result.g)
     sub_ok = not image
     relation_bivar = oracle.BivarPoly.from_laurent(result.relation)
@@ -408,6 +403,7 @@ _HANDLERS = {
 }
 
 
+@functools.cache
 def build_parser():
     parser = argparse.ArgumentParser(
         prog="polydep",
@@ -454,13 +450,20 @@ def build_parser():
 def _dispatch(args):
     if args.command is None:
         raise PreconditionFailed("no command given (see --help)")
-    return _HANDLERS[args.command](args)
+    # exact coefficients can outgrow Python's limit on int <-> str digits
+    if not hasattr(sys, "set_int_max_str_digits"):
+        return _HANDLERS[args.command](args)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return _HANDLERS[args.command](args)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None, batch_allowed=True):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return exc.code if exc.code else 0
     if args.batch:
@@ -491,6 +494,9 @@ def _run_batch(path):
             lines = handle.read().splitlines()
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except UnicodeDecodeError as exc:
+        print(f"error: {path}: not valid UTF-8 (byte {exc.start}: {exc.reason})", file=sys.stderr)
         return 2
     worst = 0
     for idx, line in enumerate(lines, start=1):

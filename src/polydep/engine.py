@@ -83,8 +83,7 @@ class Chain:
         self.n = f.degree
         self.steps = []
         self._f_pows = {0: UniPoly.one(field), 1: f}
-        self._gpart_img = {}
-        self._gpart_sym = {}
+        self._gparts = {}
 
     def __len__(self):
         return len(self.steps)
@@ -141,29 +140,22 @@ class Chain:
             j * st.m for j, st in zip(mono.gexps, self.steps)
         )
 
-    def _gpart_image(self, gexps):
-        got = self._gpart_img.get(gexps)
+    def _gpart(self, gexps):
+        """g_0^j_0 ... g_s^j_s, cached: (symbolic, image)."""
+        got = self._gparts.get(gexps)
         if got is None:
-            got = FImage.from_poly(UniPoly.one(self.field), self.f)
-            for k, j in enumerate(gexps):
+            sym = Laurent2.one(self.field)
+            img = FImage.from_poly(UniPoly.one(self.field), self.f)
+            for st, j in zip(self.steps, gexps):
                 if j:
-                    got = got * self.steps[k].image ** j
-            self._gpart_img[gexps] = got
-        return got
-
-    def _gpart_symbolic(self, gexps):
-        got = self._gpart_sym.get(gexps)
-        if got is None:
-            got = Laurent2.one(self.field)
-            for k, j in enumerate(gexps):
-                if j:
-                    got = got * self.steps[k].symbolic ** j
-            self._gpart_sym[gexps] = got
+                    sym = sym * st.symbolic**j
+                    img = img * st.image**j
+            got = self._gparts[gexps] = (sym, img)
         return got
 
     def monomial_image(self, mono):
         """The monomial evaluated at (f(z), g(z)), as an element of K[z, f^-1]."""
-        img = self._gpart_image(mono.gexps)
+        img = self._gpart(mono.gexps)[1]
         e = mono.fexp
         if e > 0:
             return FImage(img.num * self.f_power(e), img.fpow, self.f)
@@ -173,7 +165,7 @@ class Chain:
 
     def monomial_symbolic(self, mono):
         """The monomial expanded in K[f, f^-1, g]."""
-        sym = self._gpart_symbolic(mono.gexps)
+        sym = self._gpart(mono.gexps)[0]
         if mono.fexp:
             return sym.mul_monomial(mono.fexp)
         return sym
@@ -184,7 +176,7 @@ class Chain:
         c = field.pow(self.f.leading_coefficient(), mono.fexp)
         for j, st in zip(mono.gexps, self.steps):
             if j:
-                c = field.mul(c, field.pow(st.image.z_leading_coefficient(), j))
+                c = field.reduce(c * field.pow(st.image.z_leading_coefficient(), j))
         return c
 
 
@@ -292,18 +284,18 @@ class DependenceResult:
         )
 
 
-def run(f, g, field=None, max_reductions=None):
+def run(f, g, max_reductions=None):
     """Compute the monic irreducible relation P with P(f(z), g(z)) = 0.
 
-    In characteristic p the roles of f and g are exchanged when p divides
-    deg(g) but not deg(f), so that the chain stays polynomial whenever
-    p does not divide gcd(deg f, deg g); the swap is recorded on the result
-    and the returned f, g are the polynomials actually used.
+    f and g must share one field.  In characteristic p the roles of f and g
+    are exchanged when p divides deg(g) but not deg(f), so that the chain
+    stays polynomial whenever p does not divide gcd(deg f, deg g); the swap
+    is recorded on the result and the returned f, g are the polynomials
+    actually used.
     """
-    if field is None:
-        field = f.field
-    if f.field != field or g.field != field:
-        raise FieldMismatch("f, g, and the field spec must agree")
+    field = f.field
+    if g.field != field:
+        raise FieldMismatch("f and g over different fields")
     if f.degree < 1 or g.degree < 1:
         raise ConstantInput("both inputs must have degree >= 1")
     swapped = False

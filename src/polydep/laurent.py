@@ -112,9 +112,7 @@ class Laurent2:
         for (fe, ge), v in mapping.items():
             if ge < 0:
                 raise ValueError("gexp must be non-negative")
-            c = field.element(v)
-            if c:
-                out[(fe, ge)] = c
+            out[(fe, ge)] = field.element(v)
         return cls(field, out)
 
     @classmethod
@@ -137,8 +135,7 @@ class Laurent2:
     def monomial(cls, field, fexp, gexp, coeff=1):
         if gexp < 0:
             raise ValueError("gexp must be non-negative")
-        c = field.element(coeff)
-        return cls(field, {(fexp, gexp): c} if c else {})
+        return cls(field, {(fexp, gexp): field.element(coeff)})
 
     # -- structure -----------------------------------------------------------
 
@@ -192,8 +189,8 @@ class Laurent2:
         )
 
     def __neg__(self):
-        neg = self.field.neg
-        return type(self)(self.field, {k: neg(c) for k, c in self.terms.items()})
+        reduce = self.field.reduce
+        return type(self)(self.field, {k: reduce(-c) for k, c in self.terms.items()})
 
     def __mul__(self, other):
         self._check_field(other)
@@ -216,23 +213,9 @@ class Laurent2:
         reduce = self.field.reduce
         return type(self)(self.field, {t: reduce(c * k) for t, c in self.terms.items()})
 
-    def mul_monomial(self, fshift, gshift=0, coeff=None):
-        """Multiply by coeff * f^fshift * g^gshift via key translation."""
-        if coeff is None:
-            return type(self)(
-                self.field,
-                {(fe + fshift, ge + gshift): c for (fe, ge), c in self.terms.items()},
-            )
-        if not coeff:
-            return type(self).zero(self.field)
-        reduce = self.field.reduce
-        return type(self)(
-            self.field,
-            {
-                (fe + fshift, ge + gshift): reduce(c * coeff)
-                for (fe, ge), c in self.terms.items()
-            },
-        )
+    def mul_monomial(self, fshift):
+        """Multiply by f^fshift via key translation."""
+        return type(self)(self.field, {(fe + fshift, ge): c for (fe, ge), c in self.terms.items()})
 
     # -- the monomial order and the gap --------------------------------------
 

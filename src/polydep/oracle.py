@@ -10,7 +10,6 @@ P^{d} where d = gcd of the degree data, so the engine's P can be checked
 against it up to proportionality.
 """
 
-import math
 from fractions import Fraction
 
 from .errors import (
@@ -24,6 +23,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
+from .scalar import clear_denominators
 from .unipoly import FImage, UniPoly
 
 DEFAULT_DEGREE_CAP = 40
@@ -81,15 +81,9 @@ def substitute(relation, f, g):
     by_g = {}
     for (fe, ge), c in relation.terms.items():
         by_g.setdefault(ge, {})[fe] = c
-    fpows = {0: UniPoly.one(field), 1: f}
-
-    def fpow(e):
-        got = fpows.get(e)
-        if got is None:
-            got = fpow(e - 1) * f
-            fpows[e] = got
-        return got
-
+    # the g^ge part is num / f^lift with every f-exponent in num non-negative
+    lifts = {ge: max(0, -min(fmap)) for ge, fmap in by_g.items()}
+    fpows = f.powers(max(max(fmap) + lifts[ge] for ge, fmap in by_g.items()))
     g_img = FImage.from_poly(g, f)
     acc = FImage.zero(f)
     for ge in range(max(by_g), -1, -1):
@@ -97,10 +91,10 @@ def substitute(relation, f, g):
             acc = acc * g_img
         fmap = by_g.get(ge)
         if fmap:
-            lift = max(0, -min(fmap))
+            lift = lifts[ge]
             num = UniPoly.zero(field)
             for fe, c in fmap.items():
-                num = num + fpow(fe + lift).scale(c)
+                num = num + fpows[fe + lift].scale(c)
             acc = acc + FImage(num, lift, f)
     return acc
 
@@ -109,10 +103,11 @@ def sylvester_matrix(f, g):
     """The (n+m) x (n+m) Sylvester matrix of f(z) - x and g(z) - y in z."""
     field = f.field
     n, m = f.degree, g.degree
+    minus_one = field.reduce(-1)
     fc = [BivarPoly(field, {(0, 0): c}) for c in reversed(f.coeffs)]
-    fc[-1] = fc[-1] + BivarPoly(field, {(1, 0): field.neg(field.one)})
+    fc[-1] = fc[-1] + BivarPoly(field, {(1, 0): minus_one})
     gc = [BivarPoly(field, {(0, 0): c}) for c in reversed(g.coeffs)]
-    gc[-1] = gc[-1] + BivarPoly(field, {(0, 1): field.neg(field.one)})
+    gc[-1] = gc[-1] + BivarPoly(field, {(0, 1): minus_one})
     size = n + m
     zero = BivarPoly.zero(field)
     rows = []
@@ -172,64 +167,60 @@ def _bareiss_det(rows, reduce, coeff_div):
     return det if sign > 0 else add_terms({}, det, reduce, negate=True)
 
 
-def det_fraction_free(matrix, field=None):
+def det_fraction_free(matrix):
     """Determinant of a square BivarPoly matrix by fraction-free elimination.
 
     Over the rationals every row is scaled to integer coefficients first, so
     all intermediate entries are integer polynomials and every division is an
     exact one; the scale is divided back out at the end.
     """
-    if field is None:
-        field = matrix[0][0].field
-    if field.characteristic() == 0:
-        scale = 1
-        rows = []
-        for row in matrix:
-            lam = math.lcm(*(c.denominator for e in row for c in e.terms.values()))
-            scale *= lam
-            rows.append(
-                [
-                    {k: c.numerator * lam // c.denominator for k, c in e.terms.items()}
-                    for e in row
-                ]
-            )
-        det = _bareiss_det(rows, None, _int_exact_div)
-        return BivarPoly(field, {k: Fraction(v, scale) for k, v in det.items()})
-    p = field.characteristic()
-    rows = [[dict(e.terms) for e in row] for row in matrix]
-    det = _bareiss_det(rows, lambda v: v % p, lambda a, b: a * pow(b, -1, p) % p)
-    return BivarPoly(field, det)
+    field = matrix[0][0].field
+    if field.p is not None:
+        rows = [[dict(e.terms) for e in row] for row in matrix]
+        return BivarPoly(field, _bareiss_det(rows, field.reduce, field.div))
+    scale = 1
+    rows = []
+    for row in matrix:
+        ints, lam = clear_denominators([c for e in row for c in e.terms.values()])
+        scale *= lam
+        ints = iter(ints)
+        rows.append([{k: next(ints) for k in e.terms} for e in row])
+    det = _bareiss_det(rows, None, _int_exact_div)
+    return BivarPoly(field, {k: Fraction(v, scale) for k, v in det.items()})
 
 
-def det_cofactor(matrix, field=None):
+def det_cofactor(matrix):
     """Naive cofactor expansion; the oracle for the determinant oracle."""
-    if field is None:
-        field = matrix[0][0].field
     size = len(matrix)
     if size == 1:
         return matrix[0][0]
-    acc = BivarPoly.zero(field)
+    acc = BivarPoly.zero(matrix[0][0].field)
     for j in range(size):
         entry = matrix[0][j]
         if not entry:
             continue
         minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * det_cofactor(minor, field)
+        term = entry * det_cofactor(minor)
         acc = acc + term if j % 2 == 0 else acc - term
     return acc
 
 
-def sylvester_resultant(f, g, degree_cap=DEFAULT_DEGREE_CAP):
+def check_degree_cap(f, g):
+    """Refuse inputs beyond the oracles' fixed cap on deg f + deg g."""
+    if f.degree + g.degree > DEFAULT_DEGREE_CAP:
+        raise DegreeCapExceeded(
+            f"deg f + deg g = {f.degree + g.degree} exceeds the oracle cap {DEFAULT_DEGREE_CAP}"
+        )
+
+
+def sylvester_resultant(f, g):
     """Res_z(f(z) - x, g(z) - y) as a polynomial in K[x, y]."""
     if f.field != g.field:
         raise FieldMismatch("f and g over different fields")
     if f.degree < 1 or g.degree < 1:
         raise ConstantInput("resultant needs two nonconstant polynomials")
-    if degree_cap is not None and f.degree + g.degree > degree_cap:
-        raise DegreeCapExceeded(
-            f"deg f + deg g = {f.degree + g.degree} exceeds the oracle cap {degree_cap}"
-        )
-    return det_fraction_free(sylvester_matrix(f, g), f.field)
+    check_degree_cap(f, g)
+    return det_fraction_free(sylvester_matrix(f, g))
 
 
 def check_resultant_power(relation, resultant, d):
@@ -256,7 +247,7 @@ def divides(divisor, dividend):
     return dividend.exact_div(divisor) is not None
 
 
-def minimality_certificate(f, g, k, degree_cap=DEFAULT_DEGREE_CAP):
+def minimality_certificate(f, g, k):
     """True when no nonzero dependence of g-degree < k exists.
 
     Decides exact linear independence of the functions f^i * g^j over K for
@@ -269,20 +260,13 @@ def minimality_certificate(f, g, k, degree_cap=DEFAULT_DEGREE_CAP):
     n, m = f.degree, g.degree
     if n < 1 or m < 1:
         raise ConstantInput("certificate needs two nonconstant polynomials")
-    if degree_cap is not None and n + m > degree_cap:
-        raise DegreeCapExceeded(
-            f"deg f + deg g = {n + m} exceeds the oracle cap {degree_cap}"
-        )
+    check_degree_cap(f, g)
     if not 1 <= k <= n * m:
         raise PreconditionFailed(f"k = {k} outside the sane range [1, {n * m}]")
     field = f.field
     reduce = field.reduce
-    f_pows = [UniPoly.one(field)]
-    for _ in range(m):
-        f_pows.append(f_pows[-1] * f)
-    g_pows = [UniPoly.one(field)]
-    for _ in range(k - 1):
-        g_pows.append(g_pows[-1] * g)
+    f_pows = f.powers(m)
+    g_pows = g.powers(k - 1)
     pivots = {}
     for j in range(k):
         for i in range(m + 1):

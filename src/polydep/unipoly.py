@@ -70,12 +70,8 @@ class UniPoly:
         while n and not coeffs[n - 1]:
             n -= 1
         self.field = field
-        if field.p is None:
-            nums, self.den = clear_denominators(coeffs[:n])
-            self.nums = tuple(nums)
-        else:
-            self.nums = tuple(coeffs[:n])
-            self.den = 1
+        nums, self.den = clear_denominators(coeffs[:n])
+        self.nums = tuple(nums)
 
     @classmethod
     def _new(cls, field, nums, den):
@@ -88,7 +84,10 @@ class UniPoly:
 
     @classmethod
     def _normal(cls, field, nums, den):
-        """Canonical form of nums / den: a list of ints, den > 0."""
+        """Canonical form of nums / den: a list of ints, den > 0 (1 over F_p)."""
+        p = field.p
+        if p is not None:
+            nums = [c % p for c in nums]
         n = len(nums)
         while n and not nums[n - 1]:
             n -= 1
@@ -121,20 +120,14 @@ class UniPoly:
 
     @classmethod
     def monomial(cls, field, k, coeff=1):
-        c = field.element(coeff)
-        if not c:
-            return cls.zero(field)
-        return cls(field, (field.zero,) * k + (c,))
+        return cls(field, (field.zero,) * k + (field.element(coeff),))
 
     # -- structure -----------------------------------------------------------
 
     @property
     def coeffs(self):
         """The coefficients as canonical scalars, low to high; built on access."""
-        if self.field.p is not None:
-            return self.nums
-        den = self.den
-        return tuple(Fraction(c, den) for c in self.nums)
+        return tuple(map(self._scalar, self.nums))
 
     def _scalar(self, c):
         return c if self.field.p is not None else Fraction(c, self.den)
@@ -188,9 +181,6 @@ class UniPoly:
             out += [x * ma for x in a[n:]]
         else:
             out += [y * mb for y in b[n:]]
-        p = self.field.p
-        if p is not None:
-            out = [c % p for c in out]
         return UniPoly._normal(self.field, out, self.den * ma)
 
     def __add__(self, other):
@@ -200,35 +190,31 @@ class UniPoly:
         return self._combine(other, -1)
 
     def __neg__(self):
-        p = self.field.p
-        if p is None:
-            return UniPoly._new(self.field, tuple([-c for c in self.nums]), self.den)
-        return UniPoly._new(self.field, tuple([-c % p for c in self.nums]), 1)
+        return UniPoly._normal(self.field, [-c for c in self.nums], self.den)
 
     def __mul__(self, other):
         self._check_field(other)
         a, b = self.nums, other.nums
         if not a or not b:
             return UniPoly.zero(self.field)
-        out = _kronecker(a, b)
-        p = self.field.p
-        if p is not None:
-            # lc(a) * lc(b) is nonzero mod p, so there is no trailing zero
-            return UniPoly._new(self.field, tuple([c % p for c in out]), 1)
-        return UniPoly._normal(self.field, out, self.den * other.den)
+        return UniPoly._normal(self.field, _kronecker(a, b), self.den * other.den)
 
     def scale(self, k):
         """k * self for a canonical scalar k."""
         if not k or not self.nums:
             return UniPoly.zero(self.field)
-        p = self.field.p
-        if p is not None:
-            return UniPoly._new(self.field, tuple([c * k % p for c in self.nums]), 1)
         kn = k.numerator
         return UniPoly._normal(self.field, [c * kn for c in self.nums], self.den * k.denominator)
 
     def __pow__(self, e):
         return power(self, e, UniPoly.one(self.field))
+
+    def powers(self, k):
+        """The table [1, self, self^2, ..., self^k], one product per entry."""
+        table = [UniPoly.one(self.field)]
+        for _ in range(k):
+            table.append(table[-1] * self)
+        return table
 
     def divrem(self, other):
         """Quotient and remainder with deg r < deg other."""
@@ -242,12 +228,9 @@ class UniPoly:
         b = other.coeffs
         inv_lb = field.inv(b[-1])
         a = list(self.coeffs)
-        p = field.p
         q = [field.zero] * (len(a) - db)
         for k in range(len(a) - db - 1, -1, -1):
-            c = a[k + db] * inv_lb
-            if p is not None:
-                c %= p
+            c = field.reduce(a[k + db] * inv_lb)
             if c:
                 q[k] = c
                 for i in range(db):

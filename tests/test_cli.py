@@ -1,5 +1,6 @@
 import json
 import random
+import sys
 from fractions import Fraction
 from pathlib import Path
 
@@ -351,6 +352,36 @@ def test_ams_char_p_refused_exit2(monkeypatch, capsys):
 def test_batch_missing_file(capsys):
     code, _, err = run_cli(capsys, "--batch", "/nonexistent/requests.txt")
     assert code == 2
+
+
+def test_batch_not_utf8_exit2(tmp_path, capsys):
+    batch = tmp_path / "requests.txt"
+    batch.write_bytes(b"depend z^2 z^3\n\xff\n")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    assert err.startswith("error:") and "not valid UTF-8" in err
+    assert out == ""  # refused before any line runs
+
+
+@pytest.mark.parametrize(
+    "f",
+    ["3" * 2200 + "*z^2 + z", "1" + "0" * 4300 + "*z^2 + 1"],
+    ids=["relation-coefficient", "input-coefficient"],
+)
+def test_coefficients_past_the_int_str_digit_limit(capsys, f):
+    # Python refuses int <-> str conversions beyond 4300 digits by default:
+    # the first input has a relation coefficient of ~6600 digits, the second
+    # is a 4301-digit input coefficient
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    code, out, err = run_cli(capsys, "depend", f, "z^3")
+    assert (code, err) == (0, "")
+    relation = next(line for line in out.splitlines() if line.startswith("P = "))
+    assert len(relation) > 4400
+    code, out, err = run_cli(capsys, "verify", "--json", f, "z^3")
+    assert (code, err) == (0, "")
+    assert json.loads(out)["verdicts"] == {"substitution_zero": True}
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit  # restored after each request
 
 
 def test_depend_reports_swap(capsys):

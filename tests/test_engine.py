@@ -325,9 +325,11 @@ def test_monomial_combinatorics_on_goldens():
 def test_run_field_argument_checked():
     from polydep.errors import FieldMismatch
 
-    f, g = golden_pair(Q)
+    # run takes its field from f and g, which must agree
+    f, _ = golden_pair(Q)
+    _, g = golden_pair(F2)
     with pytest.raises(FieldMismatch):
-        run(f, g, field=F2)
+        run(f, g)
 
 
 def test_nonmonic_inputs():

@@ -133,7 +133,7 @@ def test_fraction_free_matches_cofactor():
                         terms[(rng.randint(0, 1), rng.randint(0, 1))] = rng.randint(-3, 3)
                     row.append(BivarPoly.make(field, terms))
                 matrix.append(row)
-            assert det_fraction_free(matrix, field) == det_cofactor(matrix, field)
+            assert det_fraction_free(matrix) == det_cofactor(matrix)
 
 
 def test_sylvester_matrix_shape():
@@ -270,9 +270,9 @@ def test_operations_keep_the_type(pair):
     a, b = pair
     field = a.field
     la, lb = a.to_laurent(), b.to_laurent()
-    for value in (a + b, a - b, -a, a * b, a**2, a.scale(3), a.mul_monomial(1, 2, 5)):
+    for value in (a + b, a - b, -a, a * b, a**2, a.scale(3), a.mul_monomial(1)):
         assert type(value) is BivarPoly
-    for value in (la + lb, la - lb, -la, la * lb, la**2, la.scale(3), la.mul_monomial(-1, 2)):
+    for value in (la + lb, la - lb, -la, la * lb, la**2, la.scale(3), la.mul_monomial(-1)):
         assert type(value) is Laurent2
     assert (a * b).to_laurent() == la * lb
     assert a != la and BivarPoly.zero(field) != Laurent2.zero(field)
