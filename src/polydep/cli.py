@@ -36,6 +36,7 @@ from .unipoly import UniPoly
 
 SCHEMA_VERSION = "1"
 MAX_EXPONENT = 100_000
+DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
 
 _INPUT_ERRORS = (
     PolySyntaxError,
@@ -64,7 +65,7 @@ def parse_polynomial(text, field):
     def read_int():
         nonlocal pos
         start = pos
-        while pos < size and text[pos].isdigit():
+        while pos < size and text[pos] in DIGITS:
             pos += 1
         if pos == start:
             raise PolySyntaxError("expected digits", start)
@@ -91,7 +92,7 @@ def parse_polynomial(text, field):
         first = False
         term_start = pos
         num = den = None
-        if pos < size and text[pos].isdigit():
+        if pos < size and text[pos] in DIGITS:
             num = read_int()
             skip_ws()
             if pos < size and text[pos] == "/":
@@ -318,13 +319,10 @@ def cmd_admissible(args):
     if args.target:
         if args.f is None or args.g is None:
             raise PreconditionFailed("--target needs candidate polynomials f and g")
-        try:
-            parts = [int(x) for x in args.target.split(",")]
-        except ValueError:
-            parts = []
-        if len(parts) < 2:
+        parts = args.target.split(",")
+        if len(parts) < 2 or not all(x.isascii() and x.isdigit() for x in parts):
             raise PreconditionFailed("--target must be n,m0[,m1,...]")
-        target_n, target_ms = parts[0], parts[1:]
+        target_n, *target_ms = map(int, parts)
         field, f, g = _parse_inputs(args)
         result = engine.run(f, g, max_reductions=args.max_steps)
         realized = semigroup.matches_degree_sequence(result, target_n, target_ms)

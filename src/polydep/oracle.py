@@ -3,11 +3,29 @@
 Three cross-checks that never share an algorithm with the reduction engine
 (only the sparse arithmetic of laurent, which BivarPoly reuses):
 direct substitution of a relation at (f(z), g(z)), the Sylvester resultant
-Res_z(f(z) - x, g(z) - y) computed by fraction-free elimination, and a
-brute-force linear-algebra certificate that no dependence of smaller
-g-degree exists.  In characteristic zero the resultant equals a scalar times
-P^{d} where d = gcd of the degree data, so the engine's P can be checked
-against it up to proportionality.
+Res_z(f(z) - x, g(z) - y), and a linear-algebra certificate that no
+dependence of smaller g-degree exists.  In characteristic zero the resultant
+equals a scalar times P^{d} where d = gcd of the degree data, so the
+engine's P can be checked against it up to proportionality.
+
+The resultant is computed by evaluation.  Write f = F/a and g = G/b with F, G
+integer vectors and a, b their denominators, n = deg f and m = deg g.  Then
+Res_z(f - x, g - y) = S(x, y) / (a^m b^n) with S = Res_z(F - a*x, G - b*y),
+and for each x0, S(x0, y) = (-1)^n lc(F)^m chi(b*y), where chi is the
+characteristic polynomial of multiplication by G in K[z]/(F - a*x0).  chi
+comes from a Hessenberg reduction (Cohen, A Course in Computational
+Algebraic Number Theory, Alg. 2.2.9), and S, of x-degree at most m, from
+Newton interpolation at x0 = 0..m.  Over F_p with p > m this is one pass
+mod p.  Over Q it runs modulo primes below 2^61 until their product passes
+twice a bound on |S|'s coefficients, and the Chinese remainder theorem with
+a symmetric lift gives S exactly (von zur Gathen and Gerhard, Modern
+Computer Algebra, ch. 5-6).  Over F_p with p <= m there are too few
+interpolation points, and fraction-free (Bareiss) elimination of the
+Sylvester matrix computes the determinant symbolically.
+
+The minimality certificate over Q first eliminates the integer coefficient
+vectors modulo 2^61 - 1: independence there implies independence over Q,
+and only a rank drop sends it to exact elimination over Q.
 """
 
 from fractions import Fraction
@@ -23,7 +41,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
-from .scalar import clear_denominators
+from .scalar import WORD_PRIME, clear_denominators, prime_field, word_primes
 from .unipoly import FImage, UniPoly
 
 DEFAULT_DEGREE_CAP = 40
@@ -214,13 +232,147 @@ def check_degree_cap(f, g):
 
 
 def sylvester_resultant(f, g):
-    """Res_z(f(z) - x, g(z) - y) as a polynomial in K[x, y]."""
+    """Res_z(f(z) - x, g(z) - y) as a polynomial in K[x, y]; see the module notes."""
     if f.field != g.field:
         raise FieldMismatch("f and g over different fields")
     if f.degree < 1 or g.degree < 1:
         raise ConstantInput("resultant needs two nonconstant polynomials")
     check_degree_cap(f, g)
-    return det_fraction_free(sylvester_matrix(f, g))
+    field = f.field
+    n, m = f.degree, g.degree
+    if field.p is not None and field.p <= m:
+        return det_fraction_free(sylvester_matrix(f, g))
+    keys = [(i, j) for i in range(m + 1) for j in range(n + 1)]
+    F, a, G, b = f.nums, f.den, g.nums, g.den
+    if field.p is not None:
+        values = _scaled_resultant_mod(F, a, G, b, field.p)
+        return BivarPoly(field, {key: c for key, c in zip(keys, values) if c})
+    # every coefficient of S is at most the product of the Sylvester rows' 1-norms
+    bound = 2 * (sum(map(abs, F)) + a) ** m * (sum(map(abs, G)) + b) ** n
+    residues, modulus = None, 1
+    for q in word_primes():
+        if not F[-1] % q or not a % q or not b % q:
+            continue
+        values = _scaled_resultant_mod(F, a, G, b, q)
+        if residues is None:
+            residues = values
+        else:
+            inv = pow(modulus, -1, q)
+            residues = [r + modulus * ((v - r) * inv % q) for r, v in zip(residues, values)]
+        modulus *= q
+        if modulus > bound:
+            break
+    half, scale = modulus // 2, a**m * b**n
+    terms = {}
+    for key, r in zip(keys, residues):
+        if r:
+            terms[key] = Fraction(r - modulus if r > half else r, scale)
+    return BivarPoly(field, terms)
+
+
+def _scaled_resultant_mod(F, a, G, b, q):
+    """S = Res_z(F - a*x, G - b*y) mod q, for integer vectors F and G.
+
+    Returns the coefficients of x^i y^j for i <= deg G and j <= deg F, i
+    outer.  Needs q > deg G, so that x0 = 0..deg G are distinct, and q not
+    dividing lc(F).
+    """
+    n, m = len(F) - 1, len(G) - 1
+    inv_lc = pow(F[-1], -1, q)
+    monic = [c * inv_lc % q for c in F]
+    lc_factor = (-1) ** n * pow(F[-1], m, q)
+    y_scale = [lc_factor * pow(b, j, q) % q for j in range(n + 1)]  # chi(b*y), times the factor
+    at_x0 = []
+    for x0 in range(m + 1):
+        monic[0] = (F[0] - a * x0) * inv_lc % q
+        chi = _charpoly(_multiplication_rows(G, monic, q), q)
+        at_x0.append([c * s % q for c, s in zip(chi, y_scale)])
+    by_y = [_interpolate([row[j] for row in at_x0], q) for j in range(n + 1)]
+    return [by_y[j][i] for i in range(m + 1) for j in range(n + 1)]
+
+
+def _multiplication_rows(G, A, q):
+    """The rows z^k * G mod A, k < deg A, for monic A: multiplication by G, transposed."""
+    n = len(A) - 1
+    r = [c % q for c in G]
+    for d in range(len(r) - 1, n - 1, -1):
+        c = r.pop() % q
+        if c:
+            for i in range(n):
+                r[d - n + i] -= c * A[i]
+    r = [c % q for c in r] + [0] * (n - len(r))
+    rows = [r]
+    for _ in range(n - 1):
+        top = r[-1]
+        r = [0] + r[:-1]
+        if top:
+            r = [(x - top * y) % q for x, y in zip(r, A)]
+        rows.append(r)
+    return rows
+
+
+def _charpoly(rows, q):
+    """det(t*I - M) mod q, low to high, for M given by its rows (Cohen, Alg. 2.2.9).
+
+    Similarity transforms bring M to upper Hessenberg form H; then p_0 = 1,
+    p_(k+1) = (t - H[k][k]) p_k minus the sum over i < k of
+    H[i][k] * H[i+1][i] * ... * H[k][k-1] * p_i, and p_size is the answer.
+    Modifies `rows`.
+    """
+    H = rows
+    size = len(H)
+    for k in range(1, size - 1):
+        piv = next((i for i in range(k, size) if H[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            H[k], H[piv] = H[piv], H[k]
+            for row in H:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(H[k][k - 1], -1, q)
+        hk = H[k]
+        for i in range(k + 1, size):
+            u = H[i][k - 1] * inv % q
+            if u:
+                H[i] = [(x - u * y) % q for x, y in zip(H[i], hk)]
+                for row in H:
+                    row[k] = (row[k] + u * row[i]) % q
+    polys = [[1]]
+    for k in range(size):
+        new = [0] + polys[k]
+        h = H[k][k]
+        for idx, c in enumerate(polys[k]):
+            new[idx] -= h * c
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * H[i + 1][i] % q
+            if not chain:
+                break
+            coef = H[i][k] * chain % q
+            if coef:
+                for idx, c in enumerate(polys[i]):
+                    new[idx] -= coef * c
+        polys.append([c % q for c in new])
+    return polys[size]
+
+
+def _interpolate(values, q):
+    """The coefficients, low to high, of the polynomial of degree < len(values)
+    with value values[x] at x = 0, 1, ... mod q; needs q >= len(values)."""
+    c = list(values)
+    size = len(c)
+    for k in range(1, size):  # Newton's divided differences; points k apart
+        inv = pow(k, -1, q)
+        for i in range(size - 1, k - 1, -1):
+            c[i] = (c[i] - c[i - 1]) * inv % q
+    poly = [c[-1]]
+    for x0 in range(size - 2, -1, -1):  # poly * (x - x0) + c[x0]
+        poly = (
+            [(c[x0] - x0 * poly[0]) % q]
+            + [(lo - x0 * hi) % q for lo, hi in zip(poly, poly[1:])]
+            + [poly[-1]]
+        )
+    return poly
 
 
 def check_resultant_power(relation, resultant, d):
@@ -254,6 +406,12 @@ def minimality_certificate(f, g, k):
     0 <= i <= deg g and 0 <= j < k by greedy triangular elimination on their
     z-coefficient vectors.  The x-degree bound deg g is enough because the
     minimal dependence divides the resultant, whose x-degree is deg g.
+
+    The vectors are the integer `nums` of each product, which are
+    proportional to its coefficients.  Over Q they are eliminated modulo
+    2^61 - 1 first: a dependence over Q, cleared to coprime integers, would
+    survive modulo every prime.  Only when the rank drops there does the
+    elimination run again over Q.
     """
     if f.field != g.field:
         raise FieldMismatch("f and g over different fields")
@@ -263,25 +421,37 @@ def minimality_certificate(f, g, k):
     check_degree_cap(f, g)
     if not 1 <= k <= n * m:
         raise PreconditionFailed(f"k = {k} outside the sane range [1, {n * m}]")
-    field = f.field
-    reduce = field.reduce
-    f_pows = f.powers(m)
-    g_pows = g.powers(k - 1)
+    f_pows, g_pows = f.powers(m), g.powers(k - 1)
+
+    def vectors():
+        return ((f_pow * g_pow).nums for g_pow in g_pows for f_pow in f_pows)
+
+    if f.field.p is None and _independent(vectors(), prime_field(WORD_PRIME)):
+        return True
+    return _independent(vectors(), f.field)
+
+
+def _independent(vectors, field):
+    """True when the integer vectors, read over `field`, are linearly independent.
+
+    Each vector is reduced by the pivot of its top index until its top index
+    has no pivot yet, where it becomes one, or until it vanishes.
+    """
+    p = field.p
     pivots = {}
-    for j in range(k):
-        for i in range(m + 1):
-            vec = list((f_pows[i] * g_pows[j]).coeffs)
-            while vec:
-                d = len(vec) - 1
-                piv = pivots.get(d)
-                if piv is None:
-                    pivots[d] = vec
-                    break
-                ratio = field.div(vec[-1], piv[-1])
-                for idx in range(len(piv)):
-                    vec[idx] = reduce(vec[idx] - ratio * piv[idx])
-                while vec and not vec[-1]:
-                    vec.pop()
-            else:
+    for nums in vectors:
+        vec = list(nums) if p is None else [c % p for c in nums]
+        while True:
+            while vec and not vec[-1]:
+                vec.pop()
+            if not vec:
                 return False
+            piv = pivots.setdefault(len(vec) - 1, vec)
+            if piv is vec:
+                break
+            ratio = field.div(field.reduce(vec[-1]), piv[-1])
+            if p is None:
+                vec = [x - ratio * y for x, y in zip(vec, piv)]
+            else:
+                vec = [(x - ratio * y) % p for x, y in zip(vec, piv)]
     return True

@@ -115,6 +115,27 @@ def _strong_lucas_probable_prime(n):
     return False
 
 
+WORD_PRIME = 2**61 - 1  # the largest prime below 2^61
+_WORD_PRIMES = []  # the primes below 2^61 found so far, in descending order
+
+
+def word_primes():
+    """The primes below 2^61 in descending order, as many as the caller draws.
+
+    Each prime is found once per process, when a caller first asks for it;
+    importing the module draws none.
+    """
+    i = 0
+    while True:
+        if i == len(_WORD_PRIMES):
+            q = _WORD_PRIMES[-1] - 2 if _WORD_PRIMES else WORD_PRIME
+            while not is_prime(q):
+                q -= 2
+            _WORD_PRIMES.append(q)
+        yield _WORD_PRIMES[i]
+        i += 1
+
+
 class Field:
     """The coefficient field K: the rationals or F_p for a prime p."""
 
@@ -212,7 +233,7 @@ def parse_field(text):
         return rationals()
     if text.startswith("fp:"):
         body = text[3:]
-        if not body or not body.isdigit():
+        if not body.isascii() or not body.isdigit():
             raise InvalidFieldSpec(f"bad prime-field spec {text!r}; expected fp:<p>")
         if len(body) > MAX_MODULUS_DIGITS:
             raise InvalidFieldSpec(f"prime-field modulus longer than {MAX_MODULUS_DIGITS} digits")

@@ -5,10 +5,17 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydep import UniPoly, engine, prime_field, rationals, semigroup
+from polydep import UniPoly, engine, parse_field, prime_field, rationals, semigroup
 from polydep.cli import main, parse_polynomial, relation_from_json
-from polydep.errors import CoefficientNotInField, IterationCapExceeded, PolySyntaxError
+from polydep.errors import (
+    CoefficientNotInField,
+    IterationCapExceeded,
+    PolydepError,
+    PolySyntaxError,
+)
 from gen import random_poly
 
 Q = rationals()
@@ -74,6 +81,63 @@ def test_parse_render_roundtrip():
         for _ in range(40):
             p = random_poly(rng, field, rng.randint(0, 9))
             assert parse_polynomial(p.render(), field) == p
+
+
+@st.composite
+def polynomials(draw):
+    field = draw(st.sampled_from([Q, F2, F3, prime_field(2**61 - 1)]))
+    if field.p is None:
+        values = st.fractions(min_value=-(10**30), max_value=10**30, max_denominator=10**12)
+    else:
+        values = st.integers(0, field.p - 1)
+    return UniPoly.make(field, draw(st.lists(values, max_size=12)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(polynomials())
+def test_parse_inverts_render(p):
+    assert parse_polynomial(p.render(), p.field) == p
+
+
+# the grammar's characters, digits of other scripts and anything else
+PARSER_TEXT = st.text(
+    st.sampled_from(list("z^*/+- 0123456789²٧\t")) | st.characters(), max_size=24
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(PARSER_TEXT, st.sampled_from([Q, F3]))
+def test_parse_random_text_fails_only_with_polydep_errors(text, field):
+    try:
+        result = parse_polynomial(text, field)
+    except PolydepError:
+        return
+    assert isinstance(result, UniPoly)
+
+
+@settings(max_examples=200, deadline=None)
+@given(PARSER_TEXT)
+def test_parse_field_random_text_fails_only_with_polydep_errors(text):
+    for spec in (text, "fp:" + text):
+        try:
+            parse_field(spec)
+        except PolydepError:
+            pass
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["depend", "z^²", "z^3"],
+        ["depend", "²*z", "z^3"],
+        ["depend", "--field", "fp:²", "z^2", "z^3"],
+        ["depend", "--field", "fp:٧", "z^2", "z^3"],
+    ],
+)
+def test_non_ascii_digits_exit2(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and not out
 
 
 # -- depend --------------------------------------------------------------------
@@ -221,7 +285,7 @@ def test_admissible_target(capsys):
     assert "realized: yes" in out
 
 
-@pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9"])
+@pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9", "٩,6", "9,²"])
 def test_admissible_bad_target_exit2(capsys, target):
     code, out, err = run_cli(capsys, "admissible", "--target", target, "z^2", "z^3")
     assert code == 2

@@ -1,7 +1,8 @@
 import random
+from fractions import Fraction
 
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from polydep import (
@@ -26,6 +27,7 @@ from polydep.errors import (
     PreconditionFailed,
     WrongCharacteristic,
 )
+from polydep import oracle
 from polydep.laurent import mul_terms
 from gen import random_pair
 
@@ -142,6 +144,95 @@ def test_sylvester_matrix_shape():
     assert len(matrix) == 5 and all(len(row) == 5 for row in matrix)
 
 
+# -- the resultant by evaluation against Bareiss -------------------------------------
+
+WORD = 2**61 - 1  # the first prime the resultant and the certificate use over Q
+
+
+@st.composite
+def resultant_inputs(draw):
+    """(f, g) for every path of sylvester_resultant; deg f = 1 in about half."""
+    kind = draw(st.sampled_from(["q", "q-huge", "p31", "p-interpolates", "p-bareiss"]))
+    n = draw(st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6]))
+    m = draw(st.integers(1, 6))
+    if kind == "q":
+        field, values = Q, st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    elif kind == "q-huge":  # 10^60-size numerators: 40 primes are not enough
+        num = st.integers(-(10**60), 10**60)
+        field, values = Q, st.builds(Fraction, num, st.integers(1, 10**9))
+    elif kind == "p31":
+        field, values = prime_field(2**31 - 1), st.integers(0, 2**31 - 2)
+    elif kind == "p-interpolates":  # p = deg g + 1, the smallest p that interpolates
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        m = p - 1
+        field, values = prime_field(p), st.integers(0, p - 1)
+    else:  # p <= deg g: the Bareiss path
+        p = draw(st.sampled_from([2, 3, 5]))
+        m = draw(st.integers(p, 6))
+        field, values = prime_field(p), st.integers(0, p - 1)
+    polys = []
+    for degree in (n, m):
+        lead = draw(values.filter(lambda c: field.element(c) != 0))
+        rest = draw(st.lists(values, min_size=degree, max_size=degree))
+        polys.append(UniPoly.make(field, rest + [lead]))
+    return tuple(polys)
+
+
+@settings(max_examples=250, deadline=None)
+@given(resultant_inputs())
+def test_resultant_by_evaluation_equals_bareiss(pair):
+    f, g = pair
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+
+
+def primes_used(monkeypatch):
+    """Record the modulus of every evaluation pass of sylvester_resultant."""
+    seen = []
+    passes = oracle._scaled_resultant_mod
+
+    def spy(F, a, G, b, q):
+        seen.append(q)
+        return passes(F, a, G, b, q)
+
+    monkeypatch.setattr(oracle, "_scaled_resultant_mod", spy)
+    return seen
+
+
+@pytest.mark.parametrize(
+    "f, g",
+    [
+        ([1, 1, WORD], [2, 0, 0, 1]),  # WORD | lc(F)
+        ([0, 1, Fraction(1, WORD)], [2, 0, 0, 1]),  # WORD | a
+        ([1, 1, 3], [1, 0, 0, Fraction(1, WORD)]),  # WORD | b
+    ],
+)
+def test_resultant_skips_a_prime_that_divides_lc_or_a_denominator(monkeypatch, f, g):
+    f, g = poly(Q, *f), poly(Q, *g)
+    seen = primes_used(monkeypatch)
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+    assert seen and WORD not in seen
+
+
+def test_resultant_draws_more_than_forty_primes(monkeypatch):
+    rng = random.Random(5)
+    huge = [Fraction(rng.randint(-(10**60), 10**60), rng.randint(1, 10**9)) for _ in range(12)]
+    f, g = poly(Q, *huge[:6]), poly(Q, *huge[6:])
+    seen = primes_used(monkeypatch)
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+    assert len(seen) > 40 and seen[0] == WORD
+
+
+def test_resultant_small_p_keeps_bareiss(monkeypatch):
+    seen = primes_used(monkeypatch)
+    F3 = prime_field(3)
+    f, g = poly(F3, 1, 2, 1), poly(F3, 2, 0, 1, 1)  # p = deg g
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+    assert not seen
+    g = poly(F3, 2, 0, 1)  # p = deg g + 1
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+    assert seen == [3]
+
+
 # -- power identity ----------------------------------------------------------------
 
 
@@ -181,6 +272,29 @@ def test_minimality_linear():
 def test_minimality_insane_k():
     with pytest.raises(PreconditionFailed):
         minimality_certificate(z_pow(Q, 2), z_pow(Q, 3), 7)
+
+
+def test_minimality_falls_back_to_exact_elimination(monkeypatch):
+    # modulo 2^61 - 1, g = z^2 + WORD*z is f; over Q, P = (g - f)^2 - WORD^2 * f
+    calls = []
+    independent = oracle._independent
+
+    def spy(vectors, field):
+        verdict = independent(vectors, field)
+        calls.append((field.characteristic(), verdict))
+        return verdict
+
+    monkeypatch.setattr(oracle, "_independent", spy)
+    f, g = z_pow(Q, 2), poly(Q, 0, WORD, 1)
+    assert run(f, g).relation_gdeg == 2
+    assert minimality_certificate(f, g, 2) is True
+    assert calls == [(WORD, False), (0, True)]
+    assert minimality_certificate(f, g, 3) is False
+    F7 = prime_field(7)
+    f7, g7 = z_pow(F7, 2), poly(F7, 0, WORD, 1)
+    assert run(f7, g7).relation_gdeg == 2
+    assert minimality_certificate(f7, g7, 2) is True
+    assert minimality_certificate(f7, g7, 3) is False
 
 
 # -- the three checks against engine output -------------------------------------------

@@ -146,6 +146,9 @@ def test_parse_field():
         parse_field("fp:")
     with pytest.raises(InvalidFieldSpec):
         parse_field("r")
+    for digits in ("²", "٧", "1٧"):  # str.isdigit accepts these, and int() reads the last two
+        with pytest.raises(InvalidFieldSpec):
+            parse_field("fp:" + digits)
     with pytest.raises(InvalidFieldSpec, match="longer than 4300 digits"):
         parse_field("fp:1" + "0" * 4299 + "3")
 
