@@ -8,6 +8,7 @@ coefficients rendered as exact fraction/residue strings.
 """
 
 import argparse
+import contextlib
 import functools
 import json
 import shlex
@@ -52,8 +53,30 @@ _INPUT_ERRORS = (
 )
 
 
+@contextlib.contextmanager
+def _no_int_digit_limit():
+    """Lift Python's limit on int <-> str digits, which exact coefficients
+    can outgrow, and restore it on exit; usable as a decorator too."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@_no_int_digit_limit()
 def parse_polynomial(text, field):
-    """Parse the term grammar: sum of `[c][*][z[^k]]` with rational c."""
+    """Parse the term grammar: sum of `[c][*][z[^k]]` with rational c.
+
+    Coefficients may be longer than Python's int <-> str digit limit: the
+    limit is lifted for the duration of the call.  That limit is
+    interpreter-wide, so another thread converting ints meanwhile runs
+    without it too.
+    """
     pos = 0
     size = len(text)
 
@@ -448,15 +471,8 @@ def build_parser():
 def _dispatch(args):
     if args.command is None:
         raise PreconditionFailed("no command given (see --help)")
-    # exact coefficients can outgrow Python's limit on int <-> str digits
-    if not hasattr(sys, "set_int_max_str_digits"):
+    with _no_int_digit_limit():
         return _HANDLERS[args.command](args)
-    limit = sys.get_int_max_str_digits()
-    sys.set_int_max_str_digits(0)
-    try:
-        return _HANDLERS[args.command](args)
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def main(argv=None, batch_allowed=True):

@@ -20,12 +20,17 @@ mod p.  Over Q it runs modulo primes below 2^61 until their product passes
 twice a bound on |S|'s coefficients, and the Chinese remainder theorem with
 a symmetric lift gives S exactly (von zur Gathen and Gerhard, Modern
 Computer Algebra, ch. 5-6).  Over F_p with p <= m there are too few
-interpolation points, and fraction-free (Bareiss) elimination of the
-Sylvester matrix computes the determinant symbolically.
+interpolation points mod p; S is an integer polynomial in the coefficients
+of F and G, so it is computed over Z as over Q, from their residues in
+[0, p) with a = b = 1, and reduced mod p.  Fraction-free (Bareiss)
+elimination of the symbolic Sylvester matrix (`det_fraction_free`) stays
+only as the tests' reference for the resultant.
 
-The minimality certificate over Q first eliminates the integer coefficient
-vectors modulo 2^61 - 1: independence there implies independence over Q,
-and only a rank drop sends it to exact elimination over Q.
+The minimality certificate specialises f to a few values x0 modulo a prime
+q and finds the rank of the powers of g in K[z]/(f - x0) there, a Krylov
+sequence (Wiedemann, 1986); full rank at one point proves independence
+over K(f).  Only when every point loses rank, as it must on a False
+answer, does it eliminate the f^i * g^j vectors exactly over K.
 """
 
 from fractions import Fraction
@@ -41,10 +46,12 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
-from .scalar import WORD_PRIME, clear_denominators, prime_field, word_primes
+from .scalar import clear_denominators, prime_field, word_primes
 from .unipoly import FImage, UniPoly
 
 DEFAULT_DEGREE_CAP = 40
+# the values of f at which minimality_certificate tries the Krylov rank first
+SPECIALISATIONS = (1, 2, 3)
 
 
 class BivarPoly(Laurent2):
@@ -190,7 +197,8 @@ def det_fraction_free(matrix):
 
     Over the rationals every row is scaled to integer coefficients first, so
     all intermediate entries are integer polynomials and every division is an
-    exact one; the scale is divided back out at the end.
+    exact one; the scale is divided back out at the end.  With
+    `sylvester_matrix` it is the tests' reference for `sylvester_resultant`.
     """
     field = matrix[0][0].field
     if field.p is not None:
@@ -238,15 +246,25 @@ def sylvester_resultant(f, g):
     if f.degree < 1 or g.degree < 1:
         raise ConstantInput("resultant needs two nonconstant polynomials")
     check_degree_cap(f, g)
-    field = f.field
+    field, p = f.field, f.field.p
     n, m = f.degree, g.degree
-    if field.p is not None and field.p <= m:
-        return det_fraction_free(sylvester_matrix(f, g))
     keys = [(i, j) for i in range(m + 1) for j in range(n + 1)]
     F, a, G, b = f.nums, f.den, g.nums, g.den
-    if field.p is not None:
-        values = _scaled_resultant_mod(F, a, G, b, field.p)
+    if p is not None and p > m:
+        values = _scaled_resultant_mod(F, a, G, b, p)
         return BivarPoly(field, {key: c for key, c in zip(keys, values) if c})
+    # over F_p with p <= m, F and G are the residues in [0, p), and a = b = 1
+    values = _scaled_resultant(F, a, G, b)
+    if p is not None:
+        return BivarPoly(field, {key: c % p for key, c in zip(keys, values) if c % p})
+    scale = a**m * b**n
+    return BivarPoly(field, {key: Fraction(c, scale) for key, c in zip(keys, values) if c})
+
+
+def _scaled_resultant(F, a, G, b):
+    """S = Res_z(F - a*x, G - b*y) over Z by CRT over word primes, ordered as by
+    `_scaled_resultant_mod`."""
+    n, m = len(F) - 1, len(G) - 1
     # every coefficient of S is at most the product of the Sylvester rows' 1-norms
     bound = 2 * (sum(map(abs, F)) + a) ** m * (sum(map(abs, G)) + b) ** n
     residues, modulus = None, 1
@@ -262,12 +280,8 @@ def sylvester_resultant(f, g):
         modulus *= q
         if modulus > bound:
             break
-    half, scale = modulus // 2, a**m * b**n
-    terms = {}
-    for key, r in zip(keys, residues):
-        if r:
-            terms[key] = Fraction(r - modulus if r > half else r, scale)
-    return BivarPoly(field, terms)
+    half = modulus // 2
+    return [r - modulus if r > half else r for r in residues]
 
 
 def _scaled_resultant_mod(F, a, G, b, q):
@@ -402,16 +416,21 @@ def divides(divisor, dividend):
 def minimality_certificate(f, g, k):
     """True when no nonzero dependence of g-degree < k exists.
 
-    Decides exact linear independence of the functions f^i * g^j over K for
-    0 <= i <= deg g and 0 <= j < k by greedy triangular elimination on their
-    z-coefficient vectors.  The x-degree bound deg g is enough because the
-    minimal dependence divides the resultant, whose x-degree is deg g.
-
-    The vectors are the integer `nums` of each product, which are
-    proportional to its coefficients.  Over Q they are eliminated modulo
-    2^61 - 1 first: a dependence over Q, cleared to coprime integers, would
-    survive modulo every prime.  Only when the rank drops there does the
-    elimination run again over Q.
+    That is, when 1, g, ..., g^(k-1) are linearly independent over K(f).
+    Write f = F/a and g = G/b.  K(z) is K(f)[z]/(F - a*f) with basis 1, z,
+    ..., z^(n-1), n = deg f, and the coordinates of G^j there are
+    polynomials in f; so independence holds when some k x k minor of them
+    is a nonzero polynomial.  The certificate first specialises f to a few
+    fixed values x0 modulo a prime q (the field's p, or the first word prime
+    not dividing lc(F)*a*b over Q) and finds the rank of the Krylov vectors
+    G^j mod (F - a*x0) over F_q, j < k, by multiplication by G (Wiedemann,
+    1986).  Only lc(F) is inverted on the way, so modulo q the minor at x0
+    is the image of the minor; rank k at any point thus answers True.  When
+    the rank falls short at every point, which it always does on a False
+    answer, the exact check decides: greedy triangular elimination over K
+    of the z-coefficient vectors of f^i * g^j for 0 <= i <= deg g and
+    0 <= j < k.  The x-degree bound deg g is enough because the minimal
+    dependence divides the resultant, whose x-degree is deg g.
     """
     if f.field != g.field:
         raise FieldMismatch("f and g over different fields")
@@ -421,14 +440,40 @@ def minimality_certificate(f, g, k):
     check_degree_cap(f, g)
     if not 1 <= k <= n * m:
         raise PreconditionFailed(f"k = {k} outside the sane range [1, {n * m}]")
-    f_pows, g_pows = f.powers(m), g.powers(k - 1)
-
-    def vectors():
-        return ((f_pow * g_pow).nums for g_pow in g_pows for f_pow in f_pows)
-
-    if f.field.p is None and _independent(vectors(), prime_field(WORD_PRIME)):
+    if k <= n and _independent_at_a_point(f, g, k):
         return True
-    return _independent(vectors(), f.field)
+    f_pows, g_pows = f.powers(m), g.powers(k - 1)
+    return _independent(((fp * gp).nums for gp in g_pows for fp in f_pows), f.field)
+
+
+def _independent_at_a_point(f, g, k):
+    """True when G^j mod (F - a*x0), j < k, are independent over F_q at some x0."""
+    F, a, G, b = f.nums, f.den, g.nums, g.den
+    if f.field.p is None:
+        q = next(q for q in word_primes() if F[-1] * a * b % q)
+        field = prime_field(q)
+    else:
+        q, field = f.field.p, f.field
+    inv_lc = pow(F[-1], -1, q)
+    monic = [c * inv_lc % q for c in F]
+    for x0 in sorted({x % q for x in SPECIALISATIONS}):
+        monic[0] = (F[0] - a * x0) * inv_lc % q
+        if _independent(_krylov(_multiplication_rows(G, monic, q), k, q), field):
+            return True
+    return False
+
+
+def _krylov(rows, k, q):
+    """The vectors e_0 * M^j mod q, j < k, for M given by its rows."""
+    vec = [1] + [0] * (len(rows) - 1)
+    yield vec
+    for _ in range(k - 1):
+        acc = [0] * len(rows)
+        for c, row in zip(vec, rows):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, row)]
+        vec = [x % q for x in acc]
+        yield vec
 
 
 def _independent(vectors, field):

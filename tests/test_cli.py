@@ -448,6 +448,14 @@ def test_coefficients_past_the_int_str_digit_limit(capsys, f):
         assert sys.get_int_max_str_digits() == limit  # restored after each request
 
 
+def test_parse_polynomial_past_the_int_str_digit_limit():
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+    poly = parse_polynomial("1" * 5000 + "*z", rationals())
+    assert poly.coeffs == (0, 10**5000 // 9)  # 5000 ones
+    if limit is not None:
+        assert sys.get_int_max_str_digits() == limit
+
+
 def test_depend_reports_swap(capsys):
     # p = 3 divides deg g = 3 but not deg f = 2, so roles are exchanged
     code, out, _ = run_cli(capsys, "depend", "--field", "fp:3", "z^2 + z", "z^3 + z")

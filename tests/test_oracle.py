@@ -152,7 +152,7 @@ WORD = 2**61 - 1  # the first prime the resultant and the certificate use over Q
 @st.composite
 def resultant_inputs(draw):
     """(f, g) for every path of sylvester_resultant; deg f = 1 in about half."""
-    kind = draw(st.sampled_from(["q", "q-huge", "p31", "p-interpolates", "p-bareiss"]))
+    kind = draw(st.sampled_from(["q", "q-huge", "p31", "p-interpolates", "p-lifted"]))
     n = draw(st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6]))
     m = draw(st.integers(1, 6))
     if kind == "q":
@@ -166,7 +166,7 @@ def resultant_inputs(draw):
         p = draw(st.sampled_from([2, 3, 5, 7]))
         m = p - 1
         field, values = prime_field(p), st.integers(0, p - 1)
-    else:  # p <= deg g: the Bareiss path
+    else:  # p <= deg g: the residues lifted to Z
         p = draw(st.sampled_from([2, 3, 5]))
         m = draw(st.integers(p, 6))
         field, values = prime_field(p), st.integers(0, p - 1)
@@ -222,15 +222,22 @@ def test_resultant_draws_more_than_forty_primes(monkeypatch):
     assert len(seen) > 40 and seen[0] == WORD
 
 
-def test_resultant_small_p_keeps_bareiss(monkeypatch):
-    seen = primes_used(monkeypatch)
-    F3 = prime_field(3)
-    f, g = poly(F3, 1, 2, 1), poly(F3, 2, 0, 1, 1)  # p = deg g
-    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
-    assert not seen
-    g = poly(F3, 2, 0, 1)  # p = deg g + 1
-    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
-    assert seen == [3]
+def test_resultant_small_p_lifts_to_word_primes(monkeypatch):
+    # too few interpolation points mod p: the residues are lifted to Z
+    for p in (2, 3, 5):
+        field = prime_field(p)
+        rng = random.Random(p)
+        f = poly(field, *[rng.randrange(p) for _ in range(3)], 1)
+        for m in (p, p + 2):  # p = deg g and p < deg g
+            g = poly(field, *[rng.randrange(p) for _ in range(m)], p - 1)
+            seen = primes_used(monkeypatch)
+            assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+            assert seen and all(q > 2**60 for q in seen)
+            assert sylvester_resultant(g, f) == det_fraction_free(sylvester_matrix(g, f))
+        g = poly(field, *[rng.randrange(p) for _ in range(p - 1)], 1)  # p = deg g + 1
+        seen = primes_used(monkeypatch)
+        assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+        assert seen == [p]
 
 
 # -- power identity ----------------------------------------------------------------
@@ -274,8 +281,8 @@ def test_minimality_insane_k():
         minimality_certificate(z_pow(Q, 2), z_pow(Q, 3), 7)
 
 
-def test_minimality_falls_back_to_exact_elimination(monkeypatch):
-    # modulo 2^61 - 1, g = z^2 + WORD*z is f; over Q, P = (g - f)^2 - WORD^2 * f
+def spy_independent(monkeypatch):
+    """Record (characteristic, verdict) of every call of oracle._independent."""
     calls = []
     independent = oracle._independent
 
@@ -285,16 +292,90 @@ def test_minimality_falls_back_to_exact_elimination(monkeypatch):
         return verdict
 
     monkeypatch.setattr(oracle, "_independent", spy)
+    return calls
+
+
+def test_minimality_falls_back_to_exact_elimination(monkeypatch):
+    # modulo 2^61 - 1, g = z^2 + WORD*z is f, so the Krylov rank is 1 at every
+    # point; over Q, P = (g - f)^2 - WORD^2 * f
+    calls = spy_independent(monkeypatch)
     f, g = z_pow(Q, 2), poly(Q, 0, WORD, 1)
     assert run(f, g).relation_gdeg == 2
     assert minimality_certificate(f, g, 2) is True
-    assert calls == [(WORD, False), (0, True)]
+    assert calls == [(WORD, False)] * len(oracle.SPECIALISATIONS) + [(0, True)]
     assert minimality_certificate(f, g, 3) is False
     F7 = prime_field(7)
     f7, g7 = z_pow(F7, 2), poly(F7, 0, WORD, 1)
     assert run(f7, g7).relation_gdeg == 2
     assert minimality_certificate(f7, g7, 2) is True
     assert minimality_certificate(f7, g7, 3) is False
+
+
+def test_minimality_rank_drop_at_every_point_falls_back(monkeypatch):
+    # over F_2, g = z * (f^2 - f) vanishes mod f - x0 at both points x0, yet
+    # 1, g are independent over K(f)
+    f = poly(F2, 0, 1, 1)  # z^2 + z
+    g = UniPoly.z(F2) * (f * f - f)
+    assert run(f, g).relation_gdeg == 2
+    calls = spy_independent(monkeypatch)
+    assert minimality_certificate(f, g, 2) is True
+    assert calls == [(2, False), (2, False), (2, True)]
+    assert minimality_certificate(f, g, 3) is False
+
+
+def test_minimality_true_forms_no_products(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a product was formed")
+
+    f, g = poly(Q, 3, Fraction(1, 2), 0, -7), poly(Q, 0, 5, 0, Fraction(2, 3), 1)
+    assert run(f, g).relation_gdeg == 3
+    monkeypatch.setattr(UniPoly, "__mul__", refuse)
+    assert minimality_certificate(f, g, 3) is True
+    assert minimality_certificate(z_pow(Q, 2), z_pow(Q, 3), 2) is True
+
+
+def exact_certificate(f, g, k):
+    """Elimination of the f^i * g^j vectors over K, with no specialisation."""
+    f_pows, g_pows = f.powers(g.degree), g.powers(k - 1)
+    return oracle._independent(((a * b).nums for b in g_pows for a in f_pows), f.field)
+
+
+@st.composite
+def certificate_pairs(draw):
+    """Pairs over Q (fractional, non-monic, 10^30-size) and F_2, F_3, F_5, F_(2^31-1)."""
+    kind = draw(st.sampled_from(["q", "q-huge", "p2", "p3", "p5", "p31"]))
+    if kind == "q":
+        field, values = Q, st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    elif kind == "q-huge":
+        num = st.integers(-(10**30), 10**30)
+        field, values = Q, st.builds(Fraction, num, st.integers(1, 10**6))
+    else:
+        field = prime_field({"p2": 2, "p3": 3, "p5": 5, "p31": 2**31 - 1}[kind])
+        values = st.integers(0, field.p - 1)
+    p = field.characteristic()
+    if 0 < p <= 6 and draw(st.booleans()):
+        degrees = st.sampled_from(range(p, 7, p))  # p | gcd(deg f, deg g)
+    else:
+        degrees = st.integers(1, 6)
+    polys = []
+    for _ in range(2):
+        degree = draw(degrees)
+        lead = draw(values.filter(lambda c: field.element(c) != 0))
+        rest = draw(st.lists(values, min_size=degree, max_size=degree))
+        polys.append(UniPoly.make(field, rest + [lead]))
+    return tuple(polys)
+
+
+@settings(max_examples=200, deadline=None)
+@given(certificate_pairs())
+def test_certificate_matches_exact_elimination(pair):
+    for f, g in (pair, pair[::-1]):
+        n, m = f.degree, g.degree
+        exact = {k: exact_certificate(f, g, k) for k in range(1, min(n + 1, n * m) + 1)}
+        gdeg = max(k for k, verdict in exact.items() if verdict)  # deg_g P
+        for k in {gdeg - 1, gdeg, gdeg + 1, n + 1}:
+            if 1 <= k <= n * m:
+                assert minimality_certificate(f, g, k) is exact[k]
 
 
 # -- the three checks against engine output -------------------------------------------
