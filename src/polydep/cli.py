@@ -56,7 +56,7 @@ _INPUT_ERRORS = (
 @contextlib.contextmanager
 def _no_int_digit_limit():
     """Lift Python's limit on int <-> str digits, which exact coefficients
-    can outgrow, and restore it on exit; usable as a decorator too."""
+    can outgrow, and restore it on exit."""
     if not hasattr(sys, "set_int_max_str_digits"):
         yield
         return
@@ -68,14 +68,27 @@ def _no_int_digit_limit():
         sys.set_int_max_str_digits(limit)
 
 
-@_no_int_digit_limit()
+def _int_from_digits(digits):
+    """int(digits) for a run of ASCII digits of any length.
+
+    A run longer than Python's int <-> str digit limit is read in chunks
+    no longer than the limit, so the interpreter-wide limit is never
+    touched.
+    """
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else 0
+    if not limit or len(digits) <= limit:
+        return int(digits)
+    value = 0
+    for start in range(0, len(digits), limit):
+        chunk = digits[start : start + limit]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return value
+
+
 def parse_polynomial(text, field):
     """Parse the term grammar: sum of `[c][*][z[^k]]` with rational c.
 
-    Coefficients may be longer than Python's int <-> str digit limit: the
-    limit is lifted for the duration of the call.  That limit is
-    interpreter-wide, so another thread converting ints meanwhile runs
-    without it too.
+    Coefficients may be longer than Python's int <-> str digit limit.
     """
     pos = 0
     size = len(text)
@@ -92,7 +105,7 @@ def parse_polynomial(text, field):
             pos += 1
         if pos == start:
             raise PolySyntaxError("expected digits", start)
-        return int(text[start:pos])
+        return _int_from_digits(text[start:pos])
 
     coeffs = {}
     skip_ws()

@@ -4,10 +4,15 @@ Given f, g in K[z], the engine builds the chain g_0 = g, g_1, g_2, ... where
 each g_{i+1} arises from g_i^{a_i} by repeatedly subtracting the unique
 standard monomial whose z-degree matches the current leading term, until the
 degree stops being divisible by the running gcd d_i (a new chain element) or
-the residual vanishes (the relation).  Every chain element is tracked twice,
-in lockstep: symbolically as an element of K[f, f^-1, g] and concretely as an
-element of K[z, f(z)^-1].  When the residual of a step vanishes, the symbolic
-residual *is* the monic irreducible polynomial P with P(f(z), g(z)) = 0.
+the residual vanishes (the relation).  Every chain element is held twice:
+symbolically as an element of K[f, f^-1, g] and concretely as an element of
+K[z, f(z)^-1].  The image moves with every subtraction, since its leading
+term picks the next monomial.  The symbolic side is formed once per step:
+the coefficients of a step's monomials are collected under their g-part G
+(the product of chain-element powers), and the residual is
+g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part.
+When the residual of a step vanishes, the symbolic residual *is* the monic
+irreducible polynomial P with P(f(z), g(z)) = 0.
 
 Degrees and gcds:
 
@@ -82,8 +87,9 @@ class Chain:
         self.f = f
         self.n = f.degree
         self.steps = []
-        self._f_pows = {0: UniPoly.one(field), 1: f}
-        self._gparts = {}
+        self._f_pows = [UniPoly.one(field), f]
+        # g-parts keyed by their exponents without trailing zeros
+        self._gparts = {(): (Laurent2.one(field), FImage.from_poly(UniPoly.one(field), f))}
 
     def __len__(self):
         return len(self.steps)
@@ -102,12 +108,11 @@ class Chain:
         self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, d_prev // d))
 
     def f_power(self, e):
-        """f^e as a polynomial, cached; e >= 0."""
-        got = self._f_pows.get(e)
-        if got is None:
-            got = self.f_power(e - 1) * self.f
-            self._f_pows[e] = got
-        return got
+        """f^e as a polynomial, cached; e >= 0.  The table grows one product at a time."""
+        pows = self._f_pows
+        while len(pows) <= e:
+            pows.append(pows[-1] * self.f)
+        return pows[e]
 
     def std_monomial_of_degree(self, s, deg):
         """The unique s-standard monomial of the given z-degree.
@@ -141,16 +146,22 @@ class Chain:
         )
 
     def _gpart(self, gexps):
-        """g_0^j_0 ... g_s^j_s, cached: (symbolic, image)."""
-        got = self._gparts.get(gexps)
-        if got is None:
-            sym = Laurent2.one(self.field)
-            img = FImage.from_poly(UniPoly.one(self.field), self.f)
-            for st, j in zip(self.steps, gexps):
-                if j:
-                    sym = sym * st.symbolic**j
-                    img = img * st.image**j
-            got = self._gparts[gexps] = (sym, img)
+        """g_0^j_0 ... g_s^j_s, cached: (symbolic, image).
+
+        An uncached g-part is the g-part with its last nonzero exponent
+        lowered by one, times that chain element; the walk down stops at
+        the first cached one, then multiplies back up.
+        """
+        key = _strip(gexps)
+        got = self._gparts.get(key)
+        missing = []
+        while got is None:
+            missing.append(key)
+            key = _strip(key[:-1] + (key[-1] - 1,))
+            got = self._gparts.get(key)
+        for key in reversed(missing):
+            st = self.steps[len(key) - 1]
+            got = self._gparts[key] = (got[0] * st.symbolic, got[1] * st.image)
         return got
 
     def monomial_image(self, mono):
@@ -180,6 +191,14 @@ class Chain:
         return c
 
 
+def _strip(gexps):
+    """The exponent tuple without its trailing zeros."""
+    n = len(gexps)
+    while n and not gexps[n - 1]:
+        n -= 1
+    return gexps[:n]
+
+
 @dataclass
 class NewChainElement:
     symbolic: Laurent2
@@ -202,23 +221,25 @@ def reduce_step(chain, s, max_reductions=None):
     """Reduce g_s^{a_s}: eliminate leading terms by standard monomials.
 
     Returns NewChainElement when the residual degree stops being divisible
-    by d_s, or Relation when the residual vanishes.  The residual is kept
-    symbolically and as a z-image in lockstep, so the Relation case hands
-    back the finished polynomial in (f, g) directly.
+    by d_s, or Relation when the residual vanishes.  Each event moves the
+    z-image of the residual and files its coefficient under the monomial's
+    g-part; the symbolic residual follows from those once, at the end, so
+    the Relation case hands back the finished polynomial in (f, g) directly.
     """
     step = chain.steps[s]
     field = chain.field
     d_s = step.d
-    r_sym = step.symbolic**step.a
-    r_img = step.image**step.a
+    top_sym, top_img = chain._gpart((0,) * s + (step.a - 1,))
+    r_img = top_img * step.image
     cap = max_reductions if max_reductions is not None else reduction_cap(
         chain.n, chain.steps[0].m
     )
     events = []
+    by_gpart = {}  # gexps -> {fexp: coefficient}
     while r_img:
         deg = r_img.zdeg()
         if deg % d_s:
-            return NewChainElement(r_sym, r_img, events)
+            break
         mono = chain.std_monomial_of_degree(s, deg)
         img = chain.monomial_image(mono)
         lc = img.z_leading_coefficient()
@@ -227,8 +248,8 @@ def reduce_step(chain, s, max_reductions=None):
                 "monomial image leading coefficient disagrees with factor product"
             )
         k = field.div(r_img.z_leading_coefficient(), lc)
-        r_img = r_img - img.scale(k)
-        r_sym = r_sym - chain.monomial_symbolic(mono).scale(k)
+        r_img = r_img.sub_scaled(img, k)
+        by_gpart.setdefault(mono.gexps, {})[mono.fexp] = k  # degrees fall, so no repeats
         events.append(ReductionEvent(s, deg, mono, k))
         if r_img and r_img.zdeg() >= deg:
             raise InternalInvariantViolation(
@@ -240,6 +261,12 @@ def reduce_step(chain, s, max_reductions=None):
                 f"{field.name()}, f = {chain.f.render()}, "
                 f"g0 image = {chain.steps[0].image!r}"
             )
+    r_sym = top_sym * step.symbolic
+    for gexps, coeffs in by_gpart.items():
+        in_f = Laurent2(field, {(e, 0): k for e, k in coeffs.items()})
+        r_sym = r_sym - chain._gpart(gexps)[0] * in_f
+    if r_img:
+        return NewChainElement(r_sym, r_img, events)
     return Relation(r_sym, events)
 
 

@@ -33,6 +33,7 @@ over K(f).  Only when every point loses rank, as it must on a False
 answer, does it eliminate the f^i * g^j vectors exactly over K.
 """
 
+import math
 from fractions import Fraction
 
 from .errors import (
@@ -47,7 +48,7 @@ from .errors import (
 )
 from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
 from .scalar import clear_denominators, prime_field, word_primes
-from .unipoly import FImage, UniPoly
+from .unipoly import FImage, UniPoly, _pack, _unpack
 
 DEFAULT_DEGREE_CAP = 40
 # the values of f at which minimality_certificate tries the Krylov rank first
@@ -95,7 +96,22 @@ class BivarPoly(Laurent2):
 
 
 def substitute(relation, f, g):
-    """Evaluate a Laurent element at (f(z), g(z)); exact, in K[z, f(z)^-1]."""
+    """Evaluate a Laurent element at (f(z), g(z)); exact, in K[z, f(z)^-1].
+
+    Write f = F/a and g = G/b (integer `nums` over `den`), the element as
+    the sum of c_ij f^i g^j, D for the common denominator of the c_ij,
+    L = max(0, -min i), E = max i + L and J = max j.  Then the integer
+    polynomial Q = a^E b^J D f^L P(f, g), the sum of
+    D c_ij a^(E-i-L) b^(J-j) F^(i+L) G^j, is evaluated at the one point
+    z = 2^(8w): powers of F(2^(8w)), then Horner in G(2^(8w)).  No
+    coefficient of Q exceeds the same sum taken with |D c_ij|, ||F||_1 and
+    ||G||_1, and w bytes hold that bound and a sign (and F and G
+    themselves), so Q's coefficients are the signed base-2^(8w) digits of
+    the value (Kronecker substitution; von zur Gathen and Gerhard, Modern
+    Computer Algebra, 8.4).  The image is Q / (a^E b^J D) / f^L.  Over F_p
+    the c_ij, F and G are residues, a = b = D = 1, and the digits are
+    reduced mod p.
+    """
     if relation.field != f.field or relation.field != g.field:
         raise FieldMismatch("relation and polynomials over different fields")
     if f.degree < 1:
@@ -103,24 +119,37 @@ def substitute(relation, f, g):
     field = relation.field
     if not relation:
         return FImage.zero(f)
-    by_g = {}
-    for (fe, ge), c in relation.terms.items():
-        by_g.setdefault(ge, {})[fe] = c
-    # the g^ge part is num / f^lift with every f-exponent in num non-negative
-    lifts = {ge: max(0, -min(fmap)) for ge, fmap in by_g.items()}
-    fpows = f.powers(max(max(fmap) + lifts[ge] for ge, fmap in by_g.items()))
-    g_img = FImage.from_poly(g, f)
-    acc = FImage.zero(f)
-    for ge in range(max(by_g), -1, -1):
-        if acc:
-            acc = acc * g_img
-        fmap = by_g.get(ge)
-        if fmap:
-            lift = lifts[ge]
-            num = UniPoly.zero(field)
-            for fe, c in fmap.items():
-                num = num + fpows[fe + lift].scale(c)
-            acc = acc + FImage(num, lift, f)
+    F, a, G, b = f.nums, f.den, g.nums, g.den
+    terms = relation.terms
+    ints, D = clear_denominators(terms.values())
+    lift = max(0, -min(i for i, _ in terms))
+    E = max(i for i, _ in terms) + lift
+    J = max(j for _, j in terms)
+    by_g = [[] for _ in range(J + 1)]
+    for (i, j), c in zip(terms, ints):
+        by_g[j].append((i + lift, c))
+    bound = _evaluate(
+        [[(i, abs(c)) for i, c in row] for row in by_g],
+        sum(map(abs, F)), sum(map(abs, G)), a, b, E,
+    )
+    width = max(bound, *map(abs, F), *map(abs, G)).bit_length() // 8 + 1
+    value = _evaluate(by_g, _pack(F, width), _pack(G, width), a, b, E)
+    size = E * (len(F) - 1) + J * (len(G) - 1) + 1
+    num = UniPoly._normal(field, _unpack(value, size, width), a**E * b**J * D)
+    return FImage(num, lift, f)
+
+
+def _evaluate(by_g, x, y, a, b, E):
+    """The sum over j of b^(J-j) y^j times the sum over (i, c) in by_g[j] of
+    c a^(E-i) x^i, with J = len(by_g) - 1; by Horner in y."""
+    x_pows, a_pows = [1], [1]
+    for _ in range(E):
+        x_pows.append(x_pows[-1] * x)
+        a_pows.append(a_pows[-1] * a)
+    acc, b_pow = 0, 1
+    for row in reversed(by_g):
+        acc = acc * y + b_pow * sum(c * a_pows[E - i] * x_pows[i] for i, c in row)
+        b_pow *= b
     return acc
 
 
@@ -264,9 +293,7 @@ def sylvester_resultant(f, g):
 def _scaled_resultant(F, a, G, b):
     """S = Res_z(F - a*x, G - b*y) over Z by CRT over word primes, ordered as by
     `_scaled_resultant_mod`."""
-    n, m = len(F) - 1, len(G) - 1
-    # every coefficient of S is at most the product of the Sylvester rows' 1-norms
-    bound = 2 * (sum(map(abs, F)) + a) ** m * (sum(map(abs, G)) + b) ** n
+    bound = 2 * _resultant_bound(F, a, G, b)
     residues, modulus = None, 1
     for q in word_primes():
         if not F[-1] % q or not a % q or not b % q:
@@ -282,6 +309,23 @@ def _scaled_resultant(F, a, G, b):
             break
     half = modulus // 2
     return [r - modulus if r > half else r for r in residues]
+
+
+def _resultant_bound(F, a, G, b):
+    """A bound on |coefficient| of S = Res_z(F - a*x, G - b*y) (Hadamard).
+
+    A coefficient of S is at most max |S(x, y)| over |x| = |y| = 1 (Cauchy),
+    and there Hadamard's inequality bounds the Sylvester determinant by the
+    product of its rows' 2-norms: sqrt(r_F) for each of the deg G rows of
+    F - a*x and sqrt(r_G) for each of the deg F rows of G - b*y, where
+    r_F = F_1^2 + ... + F_n^2 + (|F_0| + a)^2, likewise r_G (von zur Gathen
+    and Gerhard, Modern Computer Algebra, 16.6).  Returns the ceiling of
+    sqrt(r_F^(deg G) * r_G^(deg F)).
+    """
+    n, m = len(F) - 1, len(G) - 1
+    r_F = sum(c * c for c in F[1:]) + (abs(F[0]) + a) ** 2
+    r_G = sum(c * c for c in G[1:]) + (abs(G[0]) + b) ** 2
+    return math.isqrt(r_F**m * r_G**n - 1) + 1
 
 
 def _scaled_resultant_mod(F, a, G, b, q):

@@ -32,10 +32,31 @@ from .scalar import clear_denominators, power
 NEG_INF = float("-inf")
 
 
-def _pack(vec, width, half, slot):
-    """sum vec[i] * 2^(8*width*i) as one int; every |vec[i]| < half."""
+def _slots(width):
+    """half, the offset that makes every slot of `width` bytes non-negative, as int and bytes."""
+    half = 1 << (8 * width - 1)
+    return half, half.to_bytes(width, "little")
+
+
+def _pack(vec, width):
+    """sum vec[i] * 2^(8*width*i) as one int; every |vec[i]| < 2^(8*width-1)."""
+    half, slot = _slots(width)
     packed = b"".join([(c + half).to_bytes(width, "little") for c in vec])
     return int.from_bytes(packed, "little") - int.from_bytes(slot * len(vec), "little")
+
+
+def _unpack(value, n, width):
+    """The n signed base-2^(8*width) digits of value, low to high; inverts `_pack`.
+
+    Needs every digit below 2^(8*width-1) in absolute value: adding `half`
+    to every slot then makes each digit plus `half` its own unsigned slot,
+    with no carry between slots.
+    """
+    half, slot = _slots(width)
+    size = width * n
+    from_bytes = int.from_bytes  # a local name: one attribute lookup, not one per slot
+    raw = (value + from_bytes(slot * n, "little")).to_bytes(size, "little")
+    return [from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
 def _kronecker(a, b):
@@ -43,20 +64,14 @@ def _kronecker(a, b):
 
     No output coefficient exceeds max|a| * max|b| * min(len a, len b) in
     absolute value, and each slot of `width` bytes leaves room for that
-    bound plus a sign bit.  So the product of the packed integers, plus
-    `half` in every slot, has each output coefficient plus `half` as its
-    own base-2^(8*width) digit, with no carry between slots.
+    bound plus a sign bit, so `_unpack` cuts the product of the packed
+    integers back into the output coefficients.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
     width = bound.bit_length() // 8 + 1
-    half = 1 << (8 * width - 1)
-    slot = half.to_bytes(width, "little")
-    n = len(a) + len(b) - 1
-    x = _pack(a, width, half, slot)
-    y = x if b is a else _pack(b, width, half, slot)
-    size = width * n
-    raw = (x * y + int.from_bytes(slot * n, "little")).to_bytes(size, "little")
-    return [int.from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
+    x = _pack(a, width)
+    y = x if b is a else _pack(b, width)
+    return _unpack(x * y, len(a) + len(b) - 1, width)
 
 
 class UniPoly:
@@ -169,12 +184,12 @@ class UniPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _combine(self, other, sign):
-        """self + sign * other, over the lcm of the two denominators."""
+    def _add_scaled(self, other, kn, kd):
+        """self + (kn / kd) * other, over the lcm of the denominators: one pass, one gcd."""
         self._check_field(other)
         a, b = self.nums, other.nums
-        g = math.gcd(self.den, other.den)
-        ma, mb = other.den // g, sign * (self.den // g)
+        g = math.gcd(self.den, other.den * kd)
+        ma, mb = other.den * kd // g, kn * (self.den // g)
         n = min(len(a), len(b))
         out = [x * ma + y * mb for x, y in zip(a, b)]
         if len(a) > n:
@@ -184,10 +199,14 @@ class UniPoly:
         return UniPoly._normal(self.field, out, self.den * ma)
 
     def __add__(self, other):
-        return self._combine(other, 1)
+        return self._add_scaled(other, 1, 1)
 
     def __sub__(self, other):
-        return self._combine(other, -1)
+        return self._add_scaled(other, -1, 1)
+
+    def sub_scaled(self, other, k):
+        """self - k * other for a canonical scalar k."""
+        return self._add_scaled(other, -k.numerator, k.denominator)
 
     def __neg__(self):
         return UniPoly._normal(self.field, [-c for c in self.nums], self.den)
@@ -358,6 +377,12 @@ class FImage:
         self._check_base(other)
         a, b, w = self._aligned(other)
         return FImage(a - b, w, self.f_ref)
+
+    def sub_scaled(self, other, k):
+        """self - k * other for a canonical scalar k; one pass over the numerators."""
+        self._check_base(other)
+        a, b, w = self._aligned(other)
+        return FImage(a.sub_scaled(b, k), w, self.f_ref)
 
     def __neg__(self):
         return FImage(-self.num, self.fpow, self.f_ref)

@@ -1,6 +1,7 @@
 import json
 import random
 import sys
+import threading
 from fractions import Fraction
 from pathlib import Path
 
@@ -454,6 +455,38 @@ def test_parse_polynomial_past_the_int_str_digit_limit():
     assert poly.coeffs == (0, 10**5000 // 9)  # 5000 ones
     if limit is not None:
         assert sys.get_int_max_str_digits() == limit
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="no digit limit")
+def test_parse_polynomial_leaves_the_digit_limit_alone():
+    # the limit is interpreter-wide: a thread polling it while a long
+    # coefficient is parsed must only ever read the default
+    default = sys.get_int_max_str_digits()
+    seen = set()
+    done = threading.Event()
+
+    def poll():
+        while not done.is_set():
+            seen.add(sys.get_int_max_str_digits())
+
+    poller = threading.Thread(target=poll)
+    poller.start()
+    try:
+        poly = parse_polynomial("7" * 200_000 + "*z", rationals())
+    finally:
+        done.set()
+        poller.join(timeout=10)
+    assert not poller.is_alive()
+    assert seen == {default}
+    assert poly.nums == (0, 7 * (10**200_000 - 1) // 9)
+
+
+def test_depend_past_the_recursion_limit(capsys):
+    # f^1200 and g^1199 come from tables grown one product at a time
+    for f, g, relation in [("z", "z^1200", "P = g - f^1200"), ("z^1200", "z", "P = g^1200 - f")]:
+        code, out, err = run_cli(capsys, "depend", f, g)
+        assert (code, err) == (0, "")
+        assert relation in out.splitlines()
 
 
 def test_depend_reports_swap(capsys):

@@ -8,7 +8,7 @@ go negative.  Each pair runs in both input orders.
 
 from fractions import Fraction
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from polydep import (
@@ -66,6 +66,34 @@ def test_engine_agrees_with_the_oracles(pair):
             assert divides(bivar, resultant)
         assert minimality_certificate(result.f, result.g, result.relation_gdeg)
         assert result.relation_gdeg == result.n // result.d_final
+
+
+@settings(max_examples=100, deadline=None)
+@given(pairs())
+# over F_2 with chain degrees (12, 18, -9): the residual's image divides by f
+@example((UniPoly.make(FIELDS[1], [1] + [0] * 7 + [1]),
+          UniPoly.make(FIELDS[1], [0, 1, 0, 1] + [0] * 6 + [1, 0, 1])))
+def test_trace_replays_event_by_event(pair):
+    # each step replayed from g_s^(a_s) with the chain's own monomials, one
+    # event at a time: every event must start at the residual's degree, and
+    # each step must end in the next chain element or in the relation
+    for f, g in (pair, pair[::-1]):
+        result = run(f, g)
+        chain = result.chain
+        for s, step in enumerate(chain.steps):
+            r_sym, r_img = step.symbolic**step.a, step.image**step.a
+            for ev in (e for e in result.trace if e.step == s):
+                assert r_img.zdeg() == ev.degree_before == chain.monomial_degree(ev.monomial)
+                r_img = r_img - chain.monomial_image(ev.monomial).scale(ev.coefficient)
+                r_sym = r_sym - chain.monomial_symbolic(ev.monomial).scale(ev.coefficient)
+            assert substitute(r_sym, result.f, result.g) == r_img
+            if s + 1 < len(chain.steps):
+                assert r_img.zdeg() % step.d
+                assert (r_sym, r_img) == (chain.steps[s + 1].symbolic, chain.steps[s + 1].image)
+            else:
+                assert not r_img
+                top = r_sym.coefficient(0, result.relation_gdeg)
+                assert result.relation == r_sym.scale(f.field.inv(top))
 
 
 def test_pairs_reach_the_weak_corners():

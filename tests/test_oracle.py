@@ -30,9 +30,11 @@ from polydep.errors import (
 from polydep import oracle
 from polydep.laurent import mul_terms
 from gen import random_pair
+from reference import horner_substitute
 
 Q = rationals()
 F2 = prime_field(2)
+WORD_FIELD = prime_field(2**61 - 1)
 
 
 def poly(field, *coeffs):
@@ -85,6 +87,66 @@ def test_substitute_negative_powers():
     chain_el = Laurent2.make(F2, {(0, 2): 1, (3, 0): 1, (-1, 1): 1})
     image = substitute(chain_el, z_pow(F2, 4), poly(F2, 0, -1, 0, 0, 0, 0, 1))
     assert image.zdeg() == -3
+
+
+@st.composite
+def substitutions(draw):
+    """(element, f, g): a random Laurent element with negative f-exponents
+    allowed, and non-monic f, g of degree at most 6."""
+    field = draw(st.sampled_from([Q, F2, prime_field(3), prime_field(2**31 - 1), WORD_FIELD]))
+    p = field.characteristic()
+    if p == 0:
+        big = st.integers(-(10**30), 10**30)
+        values = st.one_of(
+            st.fractions(min_value=-9, max_value=9, max_denominator=7),
+            st.builds(Fraction, big, st.integers(1, 10**20)),
+        )
+    else:
+        values = st.integers(0, p - 1)
+    polys = []
+    for _ in range(2):
+        degree = draw(st.integers(1, 6))
+        lead = draw(values.filter(lambda c: field.element(c) != 0))
+        polys.append(UniPoly.make(field, draw(st.lists(values, min_size=degree, max_size=degree)) + [lead]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(-4, 5), st.integers(0, 5)), values, max_size=8))
+    return Laurent2.make(field, terms), polys[0], polys[1]
+
+
+@settings(max_examples=200, deadline=None)
+@given(substitutions())
+def test_substitute_equals_horner_reference(case):
+    element, f, g = case
+    assert substitute(element, f, g) == horner_substitute(element, f, g)
+
+
+def test_substitute_reference_cases_reach_the_corners():
+    # the strategy above draws nonzero images, negative f-exponents and large primes
+    seen = set()
+
+    @settings(max_examples=200, deadline=None)
+    @given(substitutions())
+    def collect(case):
+        element, f, g = case
+        if substitute(element, f, g):
+            seen.add("nonzero image")
+        if not element.is_polynomial():
+            seen.add("negative f-exponent")
+        if f.field == WORD_FIELD:
+            seen.add("F_(2^61-1)")
+
+    collect()
+    assert seen == {"nonzero image", "negative f-exponent", "F_(2^61-1)"}
+
+
+def test_substitute_equals_horner_reference_on_engine_output():
+    rng = random.Random(9)
+    for field in (Q, F2, prime_field(5), WORD_FIELD):
+        for _ in range(5):
+            result = run(*random_pair(rng, field, max_degree=8))
+            for element in [result.relation] + [step.symbolic for step in result.chain.steps]:
+                image = substitute(element, result.f, result.g)
+                assert image == horner_substitute(element, result.f, result.g)
+            assert not substitute(result.relation, result.f, result.g)
 
 
 # -- resultants -------------------------------------------------------------------
@@ -183,6 +245,35 @@ def resultant_inputs(draw):
 def test_resultant_by_evaluation_equals_bareiss(pair):
     f, g = pair
     assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+
+
+@st.composite
+def bound_inputs(draw):
+    """(f, g) over Q with all-positive, mixed-sign or huge coefficients."""
+    kind = draw(st.sampled_from(["positive", "mixed", "huge"]))
+    if kind == "positive":
+        values = st.builds(Fraction, st.integers(1, 9), st.integers(1, 4))
+    elif kind == "mixed":
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=7)
+    else:
+        values = st.builds(Fraction, st.integers(-(10**30), 10**30), st.integers(1, 10**6))
+    polys = []
+    for degree in (draw(st.integers(1, 5)), draw(st.integers(1, 5))):
+        lead = draw(values.filter(bool))
+        polys.append(UniPoly.make(Q, draw(st.lists(values, min_size=degree, max_size=degree)) + [lead]))
+    return tuple(polys)
+
+
+@settings(max_examples=150, deadline=None)
+@given(bound_inputs())
+def test_resultant_bound_covers_every_coefficient(pair):
+    f, g = pair
+    reference = det_fraction_free(sylvester_matrix(f, g))
+    assert sylvester_resultant(f, g) == reference
+    # S = Res_z(F - a*x, G - b*y) = a^m b^n Res_z(f - x, g - y) has integer coefficients
+    scale = f.den ** g.degree * g.den ** f.degree
+    largest = max(abs(c * scale) for c in reference.terms.values())
+    assert oracle._resultant_bound(f.nums, f.den, g.nums, g.den) >= largest
 
 
 def primes_used(monkeypatch):

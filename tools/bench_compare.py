@@ -3,13 +3,14 @@
     python3 tools/bench_compare.py --parent HEAD~1 --pairs 10 --seeds 41 42 43 \\
         --out BENCH_8.json
 
-Run it from anywhere inside a git checkout.  The parent ref is checked out
-in a temporary `git worktree`, removed again at the end; the other side is
-this checkout's working tree, uncommitted changes included.  For every
-workload of BENCHMARK.json, each pair runs `bench/run.py --trace 0` once in
-each tree with the same seed (the seeds are taken in turn) for the
-benchmark's `run_seconds`, and which side runs first alternates from pair
-to pair, so that a drift of the host's speed falls on both sides alike.
+Run it from anywhere inside a git checkout.  The parent ref's files are
+exported with `git archive` into a temporary directory, removed again at
+the end; the other side is this checkout's working tree, uncommitted
+changes included.  For every workload of BENCHMARK.json, each pair runs
+`bench/run.py --trace 0` once in each tree with the same seed (the seeds
+are taken in turn) for the benchmark's `run_seconds`, and which side runs
+first alternates from pair to pair, so that a drift of the host's speed
+falls on both sides alike.
 At least ten pairs are needed for the quartiles to mean anything.
 
 The output file holds every run's result and, per workload and end-to-end
@@ -19,6 +20,7 @@ than the distance between the parent's quartiles.
 """
 
 import argparse
+import io
 import json
 import os
 import platform
@@ -26,6 +28,7 @@ import shutil
 import statistics
 import subprocess
 import sys
+import tarfile
 import tempfile
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -48,6 +51,16 @@ def git(*args, cwd=ROOT):
     return subprocess.run(
         ["git", *args], cwd=cwd, check=True, capture_output=True, text=True
     ).stdout.strip()
+
+
+def export(commit, dest):
+    """The files of `commit`, written to `dest` by `git archive`."""
+    archive = subprocess.run(
+        ["git", "archive", "--format=tar", commit], cwd=ROOT, check=True, capture_output=True
+    ).stdout
+    with tarfile.open(fileobj=io.BytesIO(archive)) as tar:
+        # the "data" filter exists from Python 3.12 and in later 3.8-3.11 patch releases
+        tar.extractall(dest, **({"filter": "data"} if hasattr(tarfile, "data_filter") else {}))
 
 
 def bench_once(tree, workload, seed, seconds):
@@ -117,11 +130,10 @@ def main(argv=None):
     parent_commit = git("rev-parse", "--verify", f"{args.parent}^{{commit}}")
     scratch = tempfile.mkdtemp(prefix="bench-compare-")
     parent_tree = os.path.join(scratch, "parent")
-    git("worktree", "add", "--detach", parent_tree, parent_commit)
     try:
+        export(parent_commit, parent_tree)
         report = compare(args, {"parent": parent_tree, "change": ROOT}, spec)
     finally:
-        git("worktree", "remove", "--force", parent_tree)
         shutil.rmtree(scratch, ignore_errors=True)
     result = {
         "parent": {"ref": args.parent, "commit": parent_commit},
