@@ -18,14 +18,8 @@ from fractions import Fraction
 from . import engine, oracle, semigroup
 from .errors import (
     CoefficientNotInField,
-    ConstantInput,
-    DegreeCapExceeded,
-    FieldMismatch,
     InternalInvariantViolation,
-    InvalidFieldSpec,
     IterationCapExceeded,
-    MissingModulus,
-    NotPrime,
     PolydepError,
     PolySyntaxError,
     PreconditionFailed,
@@ -38,19 +32,6 @@ from .unipoly import UniPoly
 SCHEMA_VERSION = "1"
 MAX_EXPONENT = 100_000
 DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
-
-_INPUT_ERRORS = (
-    PolySyntaxError,
-    CoefficientNotInField,
-    InvalidFieldSpec,
-    NotPrime,
-    MissingModulus,
-    ConstantInput,
-    PreconditionFailed,
-    DegreeCapExceeded,
-    WrongCharacteristic,
-    FieldMismatch,
-)
 
 
 @contextlib.contextmanager
@@ -253,127 +234,126 @@ def print_depend_text(result, show_trace):
             )
 
 
-# -- command handlers --------------------------------------------------------
+# -- commands ----------------------------------------------------------------
+#
+# Each command reads the engine's result and returns (verdicts for the JSON
+# report, text lines or None for the depend text, failure message or None).
 
 
-def _parse_inputs(args):
-    field = parse_field(args.field)
-    f = parse_polynomial(args.f, field)
-    g = parse_polynomial(args.g, field)
-    return field, f, g
+def _pass(ok):
+    return "PASS" if ok else "FAIL"
 
 
-def cmd_depend(args):
-    field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, max_reductions=args.max_steps)
-    if args.json:
-        emit_json(build_report("depend", result))
-    else:
-        print_depend_text(result, args.trace)
-    return 0
+def _yes(flag):
+    return "yes" if flag else "no"
 
 
-def cmd_verify(args):
-    field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, max_reductions=args.max_steps)
-    report = build_report("verify", result)
-    round_tripped = json.loads(json.dumps(report))
-    relation = relation_from_json(round_tripped["relation"], field)
-    image = oracle.substitute(relation, result.f, result.g)
-    ok = not image
-    report["verdicts"] = {"substitution_zero": ok}
-    if args.json:
-        emit_json(report)
-    else:
-        print(f"relation terms: {len(relation.terms)}")
-        print(f"substitution of JSON-roundtripped relation at (f, g): {'zero' if ok else 'NONZERO'}")
-        print(f"verify: {'PASS' if ok else 'FAIL'}")
-    if not ok:
-        raise InternalInvariantViolation("serialized relation does not vanish at (f, g)")
-    return 0
+def _depend(args, result):
+    return {}, None, None
 
 
-def cmd_semigroup(args):
-    field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, max_reductions=args.max_steps)
+def _verify(args, result):
+    terms = json.loads(json.dumps(relation_terms_json(result.relation)))
+    relation = relation_from_json(terms, result.field)
+    ok = not oracle.substitute(relation, result.f, result.g)
+    lines = [
+        f"relation terms: {len(relation.terms)}",
+        f"substitution of JSON-roundtripped relation at (f, g): {'zero' if ok else 'NONZERO'}",
+        f"verify: {_pass(ok)}",
+    ]
+    failure = None if ok else "serialized relation does not vanish at (f, g)"
+    return {"substitution_zero": ok}, lines, failure
+
+
+def _semigroup(args, result):
     report = semigroup.semigroup_report(result)
-    if args.json:
-        verdicts = {
-            "generators": list(report.generators),
-            "min_positive": report.min_positive,
-            "contains_one": report.contains_one,
-            "ams_applicable": report.ams_applicable,
-            "ams_divisibility": report.ams_divisibility,
-        }
-        emit_json(build_report("semigroup", result, verdicts))
-    else:
-        print(f"generators: {seq_str(report.generators)}")
-        print(f"min positive: {report.min_positive}")
-        print(f"contains 1: {'yes' if report.contains_one else 'no'}")
-        print(f"ams applicable: {'yes' if report.ams_applicable else 'no'}")
-        if report.ams_applicable:
-            n, m0 = report.generators[0], report.generators[1]
-            lo, hi = min(n, m0), max(n, m0)
-            print(f"ams divisibility: {'yes' if report.ams_divisibility else 'no'} ({lo} | {hi})")
-    return 0
+    verdicts = {
+        "generators": list(report.generators),
+        "min_positive": report.min_positive,
+        "contains_one": report.contains_one,
+        "ams_applicable": report.ams_applicable,
+        "ams_divisibility": report.ams_divisibility,
+    }
+    lines = [
+        f"generators: {seq_str(report.generators)}",
+        f"min positive: {report.min_positive}",
+        f"contains 1: {_yes(report.contains_one)}",
+        f"ams applicable: {_yes(report.ams_applicable)}",
+    ]
+    if report.ams_applicable:
+        lo, hi = sorted(report.generators[:2])
+        lines.append(f"ams divisibility: {_yes(report.ams_divisibility)} ({lo} | {hi})")
+    return verdicts, lines, None
 
 
-def cmd_ams(args):
-    field, f, g = _parse_inputs(args)
-    if field.characteristic() != 0:
-        raise WrongCharacteristic("the divisibility theorem is characteristic 0")
-    result = engine.run(f, g, max_reductions=args.max_steps)
+def _ams(args, result):
     generates, divisibility = semigroup.ams_verdict(result)
-    if args.json:
-        verdicts = {"k_fg_equals_k_z": generates, "divisibility_holds": divisibility}
-        emit_json(build_report("ams", result, verdicts))
-    elif generates:
-        lo, hi = sorted((f.degree, g.degree))
-        print(f"K[f,g] = K[z]: yes; divisibility: {lo} | {hi}")
-    else:
-        print("K[f,g] = K[z]: no")
-    return 0
+    verdicts = {"k_fg_equals_k_z": generates, "divisibility_holds": divisibility}
+    lo, hi = sorted((result.f.degree, result.g.degree))
+    line = f"K[f,g] = K[z]: yes; divisibility: {lo} | {hi}" if generates else "K[f,g] = K[z]: no"
+    return verdicts, [line], None
 
 
-def cmd_richman(args):
-    field, f, g = _parse_inputs(args)
-    result = engine.run(f, g, max_reductions=args.max_steps)
+def _richman(args, result):
     first = result.chain.steps[0]
     ok = semigroup.richman_check(result)
-    if args.json:
-        verdicts = {"d0": first.d, "richman_holds": ok}
-        emit_json(build_report("richman", result, verdicts))
-    else:
-        print(f"n = {result.n}, m0 = {first.m}, d0 = {first.d}")
-        print(f"richman: {'PASS' if ok else 'FAIL'} (min(n, m0) = d0 expected)")
-    if not ok:
-        raise InternalInvariantViolation("Richman divisibility failed")
-    return 0
+    lines = [
+        f"n = {result.n}, m0 = {first.m}, d0 = {first.d}",
+        f"richman: {_pass(ok)} (min(n, m0) = d0 expected)",
+    ]
+    return {"d0": first.d, "richman_holds": ok}, lines, None if ok else "Richman divisibility failed"
 
 
-def cmd_admissible(args):
-    if args.target:
-        if args.f is None or args.g is None:
-            raise PreconditionFailed("--target needs candidate polynomials f and g")
-        parts = args.target.split(",")
-        if len(parts) < 2 or not all(x.isascii() and x.isdigit() for x in parts):
-            raise PreconditionFailed("--target must be n,m0[,m1,...]")
-        target_n, *target_ms = map(int, parts)
-        field, f, g = _parse_inputs(args)
-        result = engine.run(f, g, max_reductions=args.max_steps)
-        realized = semigroup.matches_degree_sequence(result, target_n, target_ms)
-        if args.json:
-            verdicts = {
-                "target_n": target_n,
-                "target_m_sequence": target_ms,
-                "realized": realized,
-            }
-            emit_json(build_report("admissible", result, verdicts))
-        else:
-            print(f"target: n = {target_n}, m-sequence ({seq_str(target_ms)})")
-            print(f"run: n = {result.n}, m-sequence ({seq_str(result.m_sequence)})")
-            print(f"realized: {'yes' if realized else 'no'}")
-        return 0
+def _target(args):
+    """The (n, [m0, m1, ...]) of `admissible --target`."""
+    if args.f is None or args.g is None:
+        raise PreconditionFailed("--target needs candidate polynomials f and g")
+    parts = args.target.split(",")
+    if len(parts) < 2 or not all(x.isascii() and x.isdigit() for x in parts):
+        raise PreconditionFailed("--target must be n,m0[,m1,...]")
+    target_n, *target_ms = map(int, parts)
+    return target_n, target_ms
+
+
+def _admissible(args, result):
+    target_n, target_ms = _target(args)
+    realized = semigroup.matches_degree_sequence(result, target_n, target_ms)
+    verdicts = {"target_n": target_n, "target_m_sequence": target_ms, "realized": realized}
+    lines = [
+        f"target: n = {target_n}, m-sequence ({seq_str(target_ms)})",
+        f"run: n = {result.n}, m-sequence ({seq_str(result.m_sequence)})",
+        f"realized: {_yes(realized)}",
+    ]
+    return verdicts, lines, None
+
+
+def _oracle(args, result):
+    sub_ok = not oracle.substitute(result.relation, result.f, result.g)
+    relation_bivar = oracle.BivarPoly.from_laurent(result.relation)
+    resultant = oracle.sylvester_resultant(result.f, result.g)
+    res_ok = oracle.check_resultant_power(relation_bivar, resultant, result.d_final)
+    min_ok = oracle.minimality_certificate(result.f, result.g, result.relation_gdeg)
+    verdicts = {"substitution_zero": sub_ok, "resultant_check": res_ok, "minimality": min_ok}
+    lines = [
+        f"substitution P(f,g) == 0: {_pass(sub_ok)}",
+        f"resultant == c * P^d_s (d_s = {result.d_final}): {_pass(res_ok)}",
+        f"minimality of deg_g(P) = {result.relation_gdeg}: {_pass(min_ok)}",
+    ]
+    return verdicts, lines, None if all(verdicts.values()) else "an oracle check failed"
+
+
+_COMMANDS = {
+    "depend": _depend,
+    "verify": _verify,
+    "semigroup": _semigroup,
+    "ams": _ams,
+    "richman": _richman,
+    "admissible": _admissible,
+    "oracle": _oracle,
+}
+
+
+def _list_admissible(args):
     max_n = args.max_n if args.max_n is not None else 30
     sequences = semigroup.enumerate_two_admissible(max_n)
     if args.json:
@@ -389,52 +369,6 @@ def cmd_admissible(args):
         for s in sequences:
             print(s.render())
     return 0
-
-
-def cmd_oracle(args):
-    field, f, g = _parse_inputs(args)
-    oracle.check_degree_cap(f, g)
-    result = engine.run(f, g, max_reductions=args.max_steps)
-    image = oracle.substitute(result.relation, result.f, result.g)
-    sub_ok = not image
-    relation_bivar = oracle.BivarPoly.from_laurent(result.relation)
-    resultant = oracle.sylvester_resultant(result.f, result.g)
-    if field.characteristic() == 0:
-        res_ok = oracle.check_resultant_power(relation_bivar, resultant, result.d_final)
-        res_label = f"resultant == c * P^d_s (d_s = {result.d_final})"
-    else:
-        res_ok = oracle.divides(relation_bivar, resultant)
-        res_label = "P divides resultant"
-    min_ok = oracle.minimality_certificate(result.f, result.g, result.relation_gdeg)
-    checks = [
-        ("substitution P(f,g) == 0", sub_ok),
-        (res_label, res_ok),
-        (f"minimality of deg_g(P) = {result.relation_gdeg}", min_ok),
-    ]
-    if args.json:
-        verdicts = {
-            "substitution_zero": sub_ok,
-            "resultant_check": res_ok,
-            "minimality": min_ok,
-        }
-        emit_json(build_report("oracle", result, verdicts))
-    else:
-        for label, ok in checks:
-            print(f"{label}: {'PASS' if ok else 'FAIL'}")
-    if not all(ok for _, ok in checks):
-        raise InternalInvariantViolation("an oracle check failed")
-    return 0
-
-
-_HANDLERS = {
-    "depend": cmd_depend,
-    "verify": cmd_verify,
-    "semigroup": cmd_semigroup,
-    "ams": cmd_ams,
-    "richman": cmd_richman,
-    "admissible": cmd_admissible,
-    "oracle": cmd_oracle,
-}
 
 
 @functools.cache
@@ -482,10 +416,35 @@ def build_parser():
 
 
 def _dispatch(args):
-    if args.command is None:
+    """Parse the inputs, apply the command's precheck, run the engine once and
+    report; a failed check raises after its output is printed."""
+    command = args.command
+    if command is None:
         raise PreconditionFailed("no command given (see --help)")
+    if command == "admissible":
+        if not args.target:
+            return _list_admissible(args)
+        _target(args)  # refuse a malformed target before parsing the inputs
     with _no_int_digit_limit():
-        return _HANDLERS[args.command](args)
+        field = parse_field(args.field)
+        f = parse_polynomial(args.f, field)
+        g = parse_polynomial(args.g, field)
+        if command == "ams" and field.characteristic() != 0:
+            raise WrongCharacteristic("the divisibility theorem is characteristic 0")
+        if command == "oracle":
+            oracle.check_degree_cap(f, g)
+        result = engine.run(f, g, max_reductions=args.max_steps)
+        verdicts, lines, failure = _COMMANDS[command](args, result)
+        if args.json:
+            emit_json(build_report(command, result, verdicts))
+        elif lines is None:
+            print_depend_text(result, args.trace)
+        else:
+            for line in lines:
+                print(line)
+    if failure:
+        raise InternalInvariantViolation(failure)
+    return 0
 
 
 def main(argv=None, batch_allowed=True):
@@ -500,9 +459,6 @@ def main(argv=None, batch_allowed=True):
         return _run_batch(args.batch)
     try:
         return _dispatch(args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InternalInvariantViolation as exc:
         if isinstance(exc, IterationCapExceeded) and args.max_steps is not None:
             # a budget the user set ran out; only the built-in cap signals a bug

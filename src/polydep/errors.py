@@ -13,10 +13,6 @@ class NotPrime(PolydepError):
     """Requested prime-field modulus is not prime."""
 
 
-class MissingModulus(PolydepError):
-    """Prime field requested without a modulus."""
-
-
 class InvalidFieldSpec(PolydepError):
     """Field selection string does not match 'q' or 'fp:<p>'."""
 

@@ -4,9 +4,9 @@ Three cross-checks that never share an algorithm with the reduction engine
 (only the sparse arithmetic of laurent, which BivarPoly reuses):
 direct substitution of a relation at (f(z), g(z)), the Sylvester resultant
 Res_z(f(z) - x, g(z) - y), and a linear-algebra certificate that no
-dependence of smaller g-degree exists.  In characteristic zero the resultant
-equals a scalar times P^{d} where d = gcd of the degree data, so the
-engine's P can be checked against it up to proportionality.
+dependence of smaller g-degree exists.  In every characteristic the
+resultant equals a scalar times P^d, where d = gcd of the degree data, so
+the engine's P can be checked against it up to proportionality.
 
 The resultant is computed by evaluation.  Write f = F/a and g = G/b with F, G
 integer vectors and a, b their denominators, n = deg f and m = deg g.  Then
@@ -44,7 +44,6 @@ from .errors import (
     InternalInvariantViolation,
     NotPolynomial,
     PreconditionFailed,
-    WrongCharacteristic,
 )
 from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
 from .scalar import clear_denominators, prime_field, word_primes
@@ -281,13 +280,10 @@ def sylvester_resultant(f, g):
     F, a, G, b = f.nums, f.den, g.nums, g.den
     if p is not None and p > m:
         values = _scaled_resultant_mod(F, a, G, b, p)
-        return BivarPoly(field, {key: c for key, c in zip(keys, values) if c})
-    # over F_p with p <= m, F and G are the residues in [0, p), and a = b = 1
-    values = _scaled_resultant(F, a, G, b)
-    if p is not None:
-        return BivarPoly(field, {key: c % p for key, c in zip(keys, values) if c % p})
-    scale = a**m * b**n
-    return BivarPoly(field, {key: Fraction(c, scale) for key, c in zip(keys, values) if c})
+    else:  # over F_p with p <= m, F and G are the residues in [0, p), and a = b = 1
+        values = _scaled_resultant(F, a, G, b)
+    inv = field.inv(field.reduce(a**m * b**n))
+    return BivarPoly(field, {key: field.reduce(c * inv) for key, c in zip(keys, values) if c})
 
 
 def _scaled_resultant(F, a, G, b):
@@ -434,10 +430,15 @@ def _interpolate(values, q):
 
 
 def check_resultant_power(relation, resultant, d):
-    """True when resultant = c * relation^d for some nonzero scalar c."""
+    """True when resultant = c * relation^d for some nonzero scalar c.
+
+    For the minimal polynomial P of g over K(f), d = [K(z) : K(f, g)],
+    n = deg f and m = deg g, Res_z(f - x, g - y) = (-1)^n lc(f)^m P^d in
+    every characteristic (Lang, Algebra, on the norm): the
+    resultant is the characteristic polynomial of g over K(f) up to that
+    factor, and a characteristic polynomial is a power of the minimal one.
+    """
     field = relation.field
-    if field.characteristic() != 0:
-        raise WrongCharacteristic("the power identity is asserted in characteristic 0")
     if d < 1:
         raise PreconditionFailed("d must be positive")
     if not relation or not resultant:
@@ -451,7 +452,12 @@ def check_resultant_power(relation, resultant, d):
 
 
 def divides(divisor, dividend):
-    """Exact bivariate divisibility; the characteristic-p resultant check."""
+    """Exact bivariate divisibility.
+
+    A weaker check than `check_resultant_power`, which `polydep oracle` uses
+    in both fields; it stays because the benchmark's `oracle` workload still
+    checks its characteristic-p resultants with it.
+    """
     if not dividend:
         return True
     return dividend.exact_div(divisor) is not None

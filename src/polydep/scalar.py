@@ -10,16 +10,8 @@ raw scalar values, so equality of scalars is equality of representations.
 import math
 from fractions import Fraction
 
-from .errors import (
-    CoefficientNotInField,
-    DivisionByZero,
-    InvalidFieldSpec,
-    MissingModulus,
-    NotPrime,
-)
+from .errors import CoefficientNotInField, DivisionByZero, InvalidFieldSpec, NotPrime
 
-RATIONALS = "rationals"
-PRIME_FIELD = "prime_field"
 # Python's default int <-> str digit limit; testing a prime this long takes seconds
 MAX_MODULUS_DIGITS = 4300
 
@@ -137,28 +129,16 @@ def word_primes():
 
 
 class Field:
-    """The coefficient field K: the rationals or F_p for a prime p."""
+    """The coefficient field K: `Field()` is the rationals, `Field(p)` is F_p."""
 
-    __slots__ = ("kind", "p", "zero", "one")
+    __slots__ = ("p", "zero", "one")
 
-    def __init__(self, kind, p=None):
-        if kind == RATIONALS:
-            if p is not None:
-                raise ValueError("the rationals take no modulus")
-            self.p = None
-            self.zero = Fraction(0)
-            self.one = Fraction(1)
-        elif kind == PRIME_FIELD:
-            if p is None:
-                raise MissingModulus("prime field requested without a modulus")
-            if not is_prime(p):
-                raise NotPrime(f"{p} is not prime")
-            self.p = p
-            self.zero = 0
-            self.one = 1
-        else:
-            raise ValueError(f"unknown field kind {kind!r}")
-        self.kind = kind
+    def __init__(self, p=None):
+        if p is not None and not is_prime(p):
+            raise NotPrime(f"{p} is not prime")
+        self.p = p
+        self.zero = Fraction(0) if p is None else 0
+        self.one = Fraction(1) if p is None else 1
 
     def characteristic(self):
         return 0 if self.p is None else self.p
@@ -167,13 +147,13 @@ class Field:
         return "q" if self.p is None else f"fp:{self.p}"
 
     def __eq__(self, other):
-        return isinstance(other, Field) and self.kind == other.kind and self.p == other.p
+        return isinstance(other, Field) and self.p == other.p
 
     def __hash__(self):
-        return hash((self.kind, self.p))
+        return hash(self.p)
 
     def __repr__(self):
-        return f"Field({self.name()!r})"
+        return "Field()" if self.p is None else f"Field({self.p})"
 
     # -- element construction ------------------------------------------------
 
@@ -220,11 +200,11 @@ class Field:
 
 
 def rationals():
-    return Field(RATIONALS)
+    return Field()
 
 
 def prime_field(p):
-    return Field(PRIME_FIELD, p)
+    return Field(p)
 
 
 def parse_field(text):

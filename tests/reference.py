@@ -31,3 +31,13 @@ def horner_substitute(relation, f, g):
                 num = num + fpows[fe + lift].scale(c)
             acc = acc + FImage(num, lift, f)
     return acc
+
+
+def resultant_top_terms(f, g):
+    """The terms of Res_z(f(z) - x, g(z) - y) in y^n, n = deg f.
+
+    From Res = lc(f)^m * prod over the roots r of f - x of (g(r) - y), with
+    m = deg g, they are the one constant (-1)^n lc(f)^m.
+    """
+    field, n = f.field, f.degree
+    return {(0, n): field.reduce((-1) ** n * field.pow(f.leading_coefficient(), g.degree))}

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import random
 import sys
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydep import UniPoly, engine, parse_field, prime_field, rationals, semigroup
+from polydep import Laurent2, UniPoly, engine, parse_field, prime_field, rationals, semigroup
 from polydep.cli import main, parse_polynomial, relation_from_json
 from polydep.errors import (
     CoefficientNotInField,
@@ -214,6 +215,31 @@ def test_depend_json_trace_golden(capsys, name):
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
 
 
+# one small request per command, recorded over Q and over F_3 in text and
+# --json modes: exit code, stdout and stderr must match byte for byte
+COMMAND_GOLDEN = GOLDEN / "commands"
+COMMAND_REQUESTS = {
+    "depend": ["depend", "--trace", "z^4", "z^6 - z"],
+    "verify": ["verify", "z^4", "z^6 - z"],
+    "semigroup": ["semigroup", "z^4", "z^6 - z"],
+    "ams": ["ams", "z^2 + z", "z"],
+    "richman": ["richman", "z^2", "z^4 + z"],
+    "admissible_target": ["admissible", "--target", "9,6,2", "z^9 + 6z^5 + 6z", "z^6 + 4z^2"],
+    "admissible_max_n": ["admissible", "--max-n", "15"],
+    "oracle": ["oracle", "z^4", "z^6 - z"],
+}
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+@pytest.mark.parametrize("field", ["q", "fp:3"])
+@pytest.mark.parametrize("name", sorted(COMMAND_REQUESTS))
+def test_command_golden(capsys, name, field, mode):
+    command, *rest = COMMAND_REQUESTS[name]
+    code, out, err = run_cli(capsys, command, "--field", field, *mode, *rest)
+    path = COMMAND_GOLDEN / f"{name}_{field.replace(':', '')}{'_json' if mode else ''}.txt"
+    assert f"exit {code}\n--- stdout\n{out}--- stderr\n{err}" == path.read_text(encoding="utf-8")
+
+
 def test_json_roundtrip_relation(capsys):
     code, out, _ = run_cli(capsys, "depend", "--field", "q", "z^4", "z^6 - z", "--json")
     report = json.loads(out)
@@ -299,7 +325,40 @@ def test_oracle_command(capsys):
     assert out.count("PASS") == 3
     code, out, _ = run_cli(capsys, "oracle", "--field", "fp:2", "z^4", "z^6 - z")
     assert code == 0
-    assert "P divides resultant: PASS" in out
+    assert "resultant == c * P^d_s (d_s = 1): PASS" in out.splitlines()
+
+
+@pytest.mark.parametrize("mode", [[], ["--json"]], ids=["text", "json"])
+def test_failed_check_reports_then_exits_3(monkeypatch, capsys, mode):
+    # P + 1 in place of P: each check prints its verdict, then the request exits 3
+    real = engine.run
+
+    def wrong_relation(*args, **kwargs):
+        result = real(*args, **kwargs)
+        return dataclasses.replace(result, relation=result.relation + Laurent2.one(result.field))
+
+    monkeypatch.setattr(engine, "run", wrong_relation)
+    for argv, failure, verdicts, lines in [
+        (
+            ["verify", "--field", "q", "z^4", "z^6 - z"],
+            "serialized relation does not vanish at (f, g)",
+            {"substitution_zero": False},
+            ["verify: FAIL"],
+        ),
+        (
+            ["oracle", "--field", "fp:3", "z^2", "z^2"],
+            "an oracle check failed",
+            {"substitution_zero": False, "resultant_check": False, "minimality": True},
+            ["substitution P(f,g) == 0: FAIL", "resultant == c * P^d_s (d_s = 2): FAIL"],
+        ),
+    ]:
+        code, out, err = run_cli(capsys, *argv, *mode)
+        assert code == 3
+        assert err == f"internal invariant violation: {failure}\n"
+        if mode:
+            assert json.loads(out)["verdicts"] == verdicts
+        else:
+            assert set(lines) <= set(out.splitlines())
 
 
 def test_oracle_degree_cap_exit2(capsys):

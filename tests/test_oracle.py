@@ -21,16 +21,11 @@ from polydep import (
     sylvester_matrix,
     sylvester_resultant,
 )
-from polydep.errors import (
-    DegreeCapExceeded,
-    NotPolynomial,
-    PreconditionFailed,
-    WrongCharacteristic,
-)
+from polydep.errors import DegreeCapExceeded, NotPolynomial, PreconditionFailed
 from polydep import oracle
 from polydep.laurent import mul_terms
 from gen import random_pair
-from reference import horner_substitute
+from reference import horner_substitute, resultant_top_terms
 
 Q = rationals()
 F2 = prime_field(2)
@@ -342,12 +337,6 @@ def test_check_resultant_power_examples():
     assert not check_resultant_power(line, p_cusp, 1)
 
 
-def test_check_resultant_power_char0_only():
-    one = BivarPoly.one(F2)
-    with pytest.raises(WrongCharacteristic):
-        check_resultant_power(one, one, 1)
-
-
 def test_divides():
     line = B(Q, {(0, 1): 1, (1, 0): -1})
     assert divides(line, line * line)
@@ -485,13 +474,16 @@ def test_oracles_confirm_engine_char0():
 
 
 def test_resultant_power_with_ds_above_one():
-    # f = g = z^2 ends with d_s = 2, so the resultant is c * P^2
-    result = run(z_pow(Q, 2), z_pow(Q, 2))
-    assert result.d_final == 2
-    relation = BivarPoly.from_laurent(result.relation)
-    resultant = sylvester_resultant(result.f, result.g)
-    assert check_resultant_power(relation, resultant, 2)
-    assert not check_resultant_power(relation, resultant, 1)
+    # f = g = z^2 ends with d_s = 2 in every characteristic, so the resultant
+    # is c * P^2; P divides it, but the identity fails at d = 1
+    for field in (Q, F2, prime_field(3)):
+        result = run(z_pow(field, 2), z_pow(field, 2))
+        assert result.d_final == 2
+        relation = BivarPoly.from_laurent(result.relation)
+        resultant = sylvester_resultant(result.f, result.g)
+        assert check_resultant_power(relation, resultant, 2)
+        assert not check_resultant_power(relation, resultant, 1)
+        assert divides(relation, resultant)
 
 
 def test_oracles_confirm_engine_char_p():
@@ -503,7 +495,10 @@ def test_oracles_confirm_engine_char_p():
             result = run(f, g)
             relation = BivarPoly.from_laurent(result.relation)
             resultant = sylvester_resultant(result.f, result.g)
-            assert divides(relation, resultant)
+            assert check_resultant_power(relation, resultant, result.d_final)
+            assert {
+                k: c for k, c in resultant.terms.items() if k[1] == result.n
+            } == resultant_top_terms(result.f, result.g)
             assert minimality_certificate(result.f, result.g, result.relation_gdeg)
 
 

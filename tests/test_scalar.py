@@ -5,20 +5,8 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from polydep import Field, parse_field, prime_field, rationals
-from polydep.errors import (
-    CoefficientNotInField,
-    DivisionByZero,
-    InvalidFieldSpec,
-    MissingModulus,
-    NotPrime,
-)
-from polydep.scalar import (
-    PRIME_FIELD,
-    RATIONALS,
-    _strong_lucas_probable_prime,
-    clear_denominators,
-    is_prime,
-)
+from polydep.errors import CoefficientNotInField, DivisionByZero, InvalidFieldSpec, NotPrime
+from polydep.scalar import _strong_lucas_probable_prime, clear_denominators, is_prime
 
 Q = rationals()
 F2 = prime_field(2)
@@ -26,26 +14,23 @@ F7 = prime_field(7)
 
 
 def test_make_field_rationals():
-    field = Field(RATIONALS)
+    field = Field()
     assert field.characteristic() == 0
     assert field.name() == "q"
+    assert field == rationals() and hash(field) == hash(rationals())
 
 
 def test_make_field_f2():
-    field = Field(PRIME_FIELD, 2)
+    field = Field(2)
     assert field.characteristic() == 2
+    assert field == F2 and field != Field() and field != F7
 
 
 def test_make_field_rejects_composite():
     with pytest.raises(NotPrime):
-        Field(PRIME_FIELD, 4)
+        Field(4)
     with pytest.raises(NotPrime):
-        Field(PRIME_FIELD, 1)
-
-
-def test_make_field_requires_modulus():
-    with pytest.raises(MissingModulus):
-        Field(PRIME_FIELD)
+        Field(1)
 
 
 def trial_division(n):
