@@ -26,12 +26,9 @@ from .laurent import GapValue, Laurent2
 from .oracle import (
     BivarPoly,
     check_resultant_power,
-    det_cofactor,
-    det_fraction_free,
     divides,
     minimality_certificate,
     substitute,
-    sylvester_matrix,
     sylvester_resultant,
 )
 from .scalar import Field, parse_field, prime_field, rationals
@@ -70,8 +67,6 @@ __all__ = [
     "assert_char0_polynomiality",
     "check_resultant_power",
     "contains_degree",
-    "det_cofactor",
-    "det_fraction_free",
     "divides",
     "enumerate_two_admissible",
     "is_one_admissible",
@@ -85,6 +80,5 @@ __all__ = [
     "run",
     "semigroup_report",
     "substitute",
-    "sylvester_matrix",
     "sylvester_resultant",
 ]

@@ -423,6 +423,9 @@ def _dispatch(args):
         raise PreconditionFailed("no command given (see --help)")
     if command == "admissible":
         if not args.target:
+            if args.f is not None or args.g is not None:
+                raise PreconditionFailed("candidate polynomials f and g need --target")
+            parse_field(args.field)  # the listing ignores the field, but refuses a bad one
             return _list_admissible(args)
         _target(args)  # refuse a malformed target before parsing the inputs
     with _no_int_digit_limit():

@@ -88,6 +88,8 @@ class Chain:
         self.n = f.degree
         self.steps = []
         self._f_pows = [UniPoly.one(field), f]
+        self._f_lc_pows = {}  # lc(f)^e for the e seen so far, e of either sign
+        self._lc_pows = []  # per chain element, its z-lc^j for 0 <= j < a
         # g-parts keyed by their exponents without trailing zeros
         self._gparts = {(): (Laurent2.one(field), FImage.from_poly(UniPoly.one(field), f))}
 
@@ -105,7 +107,10 @@ class Chain:
         m = image.zdeg()
         d_prev = self.steps[-1].d if self.steps else self.n
         d = math.gcd(d_prev, abs(m))
-        self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, d_prev // d))
+        a = d_prev // d
+        self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, a))
+        lc = image.z_leading_coefficient()
+        self._lc_pows.append([self.field.pow(lc, j) for j in range(a)])
 
     def f_power(self, e):
         """f^e as a polynomial, cached; e >= 0.  The table grows one product at a time."""
@@ -184,10 +189,13 @@ class Chain:
     def monomial_z_lc(self, mono):
         """Leading z-coefficient of the monomial image, from factor lcs only."""
         field = self.field
-        c = field.pow(self.f.leading_coefficient(), mono.fexp)
-        for j, st in zip(mono.gexps, self.steps):
+        e = mono.fexp
+        c = self._f_lc_pows.get(e)
+        if c is None:
+            c = self._f_lc_pows[e] = field.pow(self.f.leading_coefficient(), e)
+        for j, pows in zip(mono.gexps, self._lc_pows):
             if j:
-                c = field.reduce(c * field.pow(st.image.z_leading_coefficient(), j))
+                c = field.reduce(c * pows[j])
         return c
 
 

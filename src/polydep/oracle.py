@@ -16,15 +16,18 @@ characteristic polynomial of multiplication by G in K[z]/(F - a*x0).  chi
 comes from a Hessenberg reduction (Cohen, A Course in Computational
 Algebraic Number Theory, Alg. 2.2.9), and S, of x-degree at most m, from
 Newton interpolation at x0 = 0..m.  Over F_p with p > m this is one pass
-mod p.  Over Q it runs modulo primes below 2^61 until their product passes
-twice a bound on |S|'s coefficients, and the Chinese remainder theorem with
-a symmetric lift gives S exactly (von zur Gathen and Gerhard, Modern
-Computer Algebra, ch. 5-6).  Over F_p with p <= m there are too few
+mod p.  Over Q it is one pass modulo a product M of primes below 2^61 that
+passes twice a bound on |S|'s coefficients, and a symmetric lift gives S
+exactly: by the Chinese remainder theorem Z/M is a product of fields, so
+the pass computes S modulo every prime at once (von zur Gathen and Gerhard,
+Modern Computer Algebra, ch. 5-6).  A Hessenberg pivot that is nonzero
+modulo M but not a unit drops the primes that divide it, and the pass runs
+again modulo a new product.  Over F_p with p <= m there are too few
 interpolation points mod p; S is an integer polynomial in the coefficients
 of F and G, so it is computed over Z as over Q, from their residues in
 [0, p) with a = b = 1, and reduced mod p.  Fraction-free (Bareiss)
-elimination of the symbolic Sylvester matrix (`det_fraction_free`) stays
-only as the tests' reference for the resultant.
+elimination of the symbolic Sylvester matrix is the tests' reference for
+the resultant, in `tests/reference.py`.
 
 The minimality certificate specialises f to a few values x0 modulo a prime
 q and finds the rank of the powers of g in K[z]/(f - x0) there, a Krylov
@@ -34,18 +37,16 @@ answer, does it eliminate the f^i * g^j vectors exactly over K.
 """
 
 import math
-from fractions import Fraction
 
 from .errors import (
     ConstantInput,
     DegreeCapExceeded,
     DivisionByZero,
     FieldMismatch,
-    InternalInvariantViolation,
     NotPolynomial,
     PreconditionFailed,
 )
-from .laurent import Laurent2, add_terms, exact_div_terms, mul_terms
+from .laurent import Laurent2, exact_div_terms
 from .scalar import clear_denominators, prime_field, word_primes
 from .unipoly import FImage, UniPoly, _pack, _unpack
 
@@ -152,113 +153,6 @@ def _evaluate(by_g, x, y, a, b, E):
     return acc
 
 
-def sylvester_matrix(f, g):
-    """The (n+m) x (n+m) Sylvester matrix of f(z) - x and g(z) - y in z."""
-    field = f.field
-    n, m = f.degree, g.degree
-    minus_one = field.reduce(-1)
-    fc = [BivarPoly(field, {(0, 0): c}) for c in reversed(f.coeffs)]
-    fc[-1] = fc[-1] + BivarPoly(field, {(1, 0): minus_one})
-    gc = [BivarPoly(field, {(0, 0): c}) for c in reversed(g.coeffs)]
-    gc[-1] = gc[-1] + BivarPoly(field, {(0, 1): minus_one})
-    size = n + m
-    zero = BivarPoly.zero(field)
-    rows = []
-    for i in range(m):
-        row = [zero] * size
-        row[i : i + n + 1] = fc
-        rows.append(row)
-    for i in range(n):
-        row = [zero] * size
-        row[i : i + m + 1] = gc
-        rows.append(row)
-    return rows
-
-
-def _int_exact_div(a, b):
-    q, r = divmod(a, b)
-    if r:
-        raise InternalInvariantViolation("fraction-free division left a remainder")
-    return q
-
-
-def _bareiss_det(rows, reduce, coeff_div):
-    """Fraction-free determinant on raw coefficient dicts (Bareiss one-step)."""
-    size = len(rows)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = None
-    for t in range(size - 1):
-        if not m[t][t]:
-            for r in range(t + 1, size):
-                if m[r][t]:
-                    m[t], m[r] = m[r], m[t]
-                    sign = -sign
-                    break
-            else:
-                return {}
-        piv = m[t][t]
-        trow = m[t]
-        for i in range(t + 1, size):
-            row = m[i]
-            mit = row[t]
-            for j in range(t + 1, size):
-                num = add_terms(
-                    mul_terms(piv, row[j], reduce),
-                    mul_terms(mit, trow[j], reduce),
-                    reduce,
-                    negate=True,
-                )
-                if prev is not None:
-                    num = exact_div_terms(num, prev, coeff_div, reduce)
-                    if num is None:
-                        raise InternalInvariantViolation("fraction-free division failed")
-                row[j] = num
-            row[t] = {}
-        prev = piv
-    det = m[size - 1][size - 1]
-    return det if sign > 0 else add_terms({}, det, reduce, negate=True)
-
-
-def det_fraction_free(matrix):
-    """Determinant of a square BivarPoly matrix by fraction-free elimination.
-
-    Over the rationals every row is scaled to integer coefficients first, so
-    all intermediate entries are integer polynomials and every division is an
-    exact one; the scale is divided back out at the end.  With
-    `sylvester_matrix` it is the tests' reference for `sylvester_resultant`.
-    """
-    field = matrix[0][0].field
-    if field.p is not None:
-        rows = [[dict(e.terms) for e in row] for row in matrix]
-        return BivarPoly(field, _bareiss_det(rows, field.reduce, field.div))
-    scale = 1
-    rows = []
-    for row in matrix:
-        ints, lam = clear_denominators([c for e in row for c in e.terms.values()])
-        scale *= lam
-        ints = iter(ints)
-        rows.append([{k: next(ints) for k in e.terms} for e in row])
-    det = _bareiss_det(rows, None, _int_exact_div)
-    return BivarPoly(field, {k: Fraction(v, scale) for k, v in det.items()})
-
-
-def det_cofactor(matrix):
-    """Naive cofactor expansion; the oracle for the determinant oracle."""
-    size = len(matrix)
-    if size == 1:
-        return matrix[0][0]
-    acc = BivarPoly.zero(matrix[0][0].field)
-    for j in range(size):
-        entry = matrix[0][j]
-        if not entry:
-            continue
-        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
-        term = entry * det_cofactor(minor)
-        acc = acc + term if j % 2 == 0 else acc - term
-    return acc
-
-
 def check_degree_cap(f, g):
     """Refuse inputs beyond the oracles' fixed cap on deg f + deg g."""
     if f.degree + g.degree > DEFAULT_DEGREE_CAP:
@@ -287,24 +181,29 @@ def sylvester_resultant(f, g):
 
 
 def _scaled_resultant(F, a, G, b):
-    """S = Res_z(F - a*x, G - b*y) over Z by CRT over word primes, ordered as by
-    `_scaled_resultant_mod`."""
+    """S = Res_z(F - a*x, G - b*y) over Z, ordered as by `_scaled_resultant_mod`.
+
+    M is a product of word primes that divide none of lc(F), a and b, drawn
+    until M passes twice `_resultant_bound`; S is the symmetric lift of one
+    evaluation pass modulo M.  Z/M is a product of fields, so that pass does
+    the work of one pass per prime as long as every Hessenberg pivot is a
+    unit modulo M.  A nonzero pivot that is not a unit is zero modulo some of
+    the primes; `_charpoly` raises, those primes are dropped, more are drawn
+    until M passes the bound again, and the pass runs again.
+    """
     bound = 2 * _resultant_bound(F, a, G, b)
-    residues, modulus = None, 1
-    for q in word_primes():
-        if not F[-1] % q or not a % q or not b % q:
-            continue
-        values = _scaled_resultant_mod(F, a, G, b, q)
-        if residues is None:
-            residues = values
+    primes = (q for q in word_primes() if F[-1] % q and a % q and b % q)
+    modulus = 1
+    while True:
+        while modulus <= bound:
+            modulus *= next(primes)
+        try:
+            values = _scaled_resultant_mod(F, a, G, b, modulus)
+        except _NonUnitPivot as exc:
+            modulus //= math.gcd(exc.pivot, modulus)
         else:
-            inv = pow(modulus, -1, q)
-            residues = [r + modulus * ((v - r) * inv % q) for r, v in zip(residues, values)]
-        modulus *= q
-        if modulus > bound:
-            break
-    half = modulus // 2
-    return [r - modulus if r > half else r for r in residues]
+            half = modulus // 2
+            return [v - modulus if v > half else v for v in values]
 
 
 def _resultant_bound(F, a, G, b):
@@ -328,8 +227,9 @@ def _scaled_resultant_mod(F, a, G, b, q):
     """S = Res_z(F - a*x, G - b*y) mod q, for integer vectors F and G.
 
     Returns the coefficients of x^i y^j for i <= deg G and j <= deg F, i
-    outer.  Needs q > deg G, so that x0 = 0..deg G are distinct, and q not
-    dividing lc(F).
+    outer.  q is a prime or a product of distinct primes, each above deg G,
+    so that the differences of x0 = 0..deg G are units, and none dividing
+    lc(F).
     """
     n, m = len(F) - 1, len(G) - 1
     inv_lc = pow(F[-1], -1, q)
@@ -365,13 +265,22 @@ def _multiplication_rows(G, A, q):
     return rows
 
 
+class _NonUnitPivot(Exception):
+    """A Hessenberg pivot that is nonzero but not invertible modulo `_charpoly`'s q."""
+
+    def __init__(self, pivot):
+        super().__init__(pivot)
+        self.pivot = pivot
+
+
 def _charpoly(rows, q):
     """det(t*I - M) mod q, low to high, for M given by its rows (Cohen, Alg. 2.2.9).
 
     Similarity transforms bring M to upper Hessenberg form H; then p_0 = 1,
     p_(k+1) = (t - H[k][k]) p_k minus the sum over i < k of
     H[i][k] * H[i+1][i] * ... * H[k][k-1] * p_i, and p_size is the answer.
-    Modifies `rows`.
+    Modifies `rows`.  Raises `_NonUnitPivot` on a pivot that is nonzero but
+    not a unit mod q, which only a composite q has.
     """
     H = rows
     size = len(H)
@@ -383,7 +292,10 @@ def _charpoly(rows, q):
             H[k], H[piv] = H[piv], H[k]
             for row in H:
                 row[k], row[piv] = row[piv], row[k]
-        inv = pow(H[k][k - 1], -1, q)
+        try:
+            inv = pow(H[k][k - 1], -1, q)
+        except ValueError:
+            raise _NonUnitPivot(H[k][k - 1]) from None
         hk = H[k]
         for i in range(k + 1, size):
             u = H[i][k - 1] * inv % q

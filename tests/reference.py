@@ -1,6 +1,11 @@
 """Slow, plainly correct versions of library routines, for the tests to compare against."""
 
-from polydep import FImage, UniPoly
+from fractions import Fraction
+
+from polydep import BivarPoly, FImage, UniPoly
+from polydep.errors import InternalInvariantViolation
+from polydep.laurent import add_terms, exact_div_terms, mul_terms
+from polydep.scalar import clear_denominators
 
 
 def horner_substitute(relation, f, g):
@@ -41,3 +46,110 @@ def resultant_top_terms(f, g):
     """
     field, n = f.field, f.degree
     return {(0, n): field.reduce((-1) ** n * field.pow(f.leading_coefficient(), g.degree))}
+
+
+def sylvester_matrix(f, g):
+    """The (n+m) x (n+m) Sylvester matrix of f(z) - x and g(z) - y in z."""
+    field = f.field
+    n, m = f.degree, g.degree
+    minus_one = field.reduce(-1)
+    fc = [BivarPoly(field, {(0, 0): c}) for c in reversed(f.coeffs)]
+    fc[-1] = fc[-1] + BivarPoly(field, {(1, 0): minus_one})
+    gc = [BivarPoly(field, {(0, 0): c}) for c in reversed(g.coeffs)]
+    gc[-1] = gc[-1] + BivarPoly(field, {(0, 1): minus_one})
+    size = n + m
+    zero = BivarPoly.zero(field)
+    rows = []
+    for i in range(m):
+        row = [zero] * size
+        row[i : i + n + 1] = fc
+        rows.append(row)
+    for i in range(n):
+        row = [zero] * size
+        row[i : i + m + 1] = gc
+        rows.append(row)
+    return rows
+
+
+def _int_exact_div(a, b):
+    q, r = divmod(a, b)
+    if r:
+        raise InternalInvariantViolation("fraction-free division left a remainder")
+    return q
+
+
+def _bareiss_det(rows, reduce, coeff_div):
+    """Fraction-free determinant on raw coefficient dicts (Bareiss one-step)."""
+    size = len(rows)
+    m = [list(r) for r in rows]
+    sign = 1
+    prev = None
+    for t in range(size - 1):
+        if not m[t][t]:
+            for r in range(t + 1, size):
+                if m[r][t]:
+                    m[t], m[r] = m[r], m[t]
+                    sign = -sign
+                    break
+            else:
+                return {}
+        piv = m[t][t]
+        trow = m[t]
+        for i in range(t + 1, size):
+            row = m[i]
+            mit = row[t]
+            for j in range(t + 1, size):
+                num = add_terms(
+                    mul_terms(piv, row[j], reduce),
+                    mul_terms(mit, trow[j], reduce),
+                    reduce,
+                    negate=True,
+                )
+                if prev is not None:
+                    num = exact_div_terms(num, prev, coeff_div, reduce)
+                    if num is None:
+                        raise InternalInvariantViolation("fraction-free division failed")
+                row[j] = num
+            row[t] = {}
+        prev = piv
+    det = m[size - 1][size - 1]
+    return det if sign > 0 else add_terms({}, det, reduce, negate=True)
+
+
+def det_fraction_free(matrix):
+    """Determinant of a square BivarPoly matrix by fraction-free elimination.
+
+    Over the rationals every row is scaled to integer coefficients first, so
+    all intermediate entries are integer polynomials and every division is an
+    exact one; the scale is divided back out at the end.  With
+    `sylvester_matrix` it is the tests' reference for `sylvester_resultant`.
+    """
+    field = matrix[0][0].field
+    if field.p is not None:
+        rows = [[dict(e.terms) for e in row] for row in matrix]
+        return BivarPoly(field, _bareiss_det(rows, field.reduce, field.div))
+    scale = 1
+    rows = []
+    for row in matrix:
+        ints, lam = clear_denominators([c for e in row for c in e.terms.values()])
+        scale *= lam
+        ints = iter(ints)
+        rows.append([{k: next(ints) for k in e.terms} for e in row])
+    det = _bareiss_det(rows, None, _int_exact_div)
+    return BivarPoly(field, {k: Fraction(v, scale) for k, v in det.items()})
+
+
+def det_cofactor(matrix):
+    """Naive cofactor expansion; the oracle for the determinant oracle."""
+    size = len(matrix)
+    if size == 1:
+        return matrix[0][0]
+    acc = BivarPoly.zero(matrix[0][0].field)
+    for j in range(size):
+        entry = matrix[0][j]
+        if not entry:
+            continue
+        minor = [row[:j] + row[j + 1 :] for row in matrix[1:]]
+        term = entry * det_cofactor(minor)
+        acc = acc + term if j % 2 == 0 else acc - term
+    return acc

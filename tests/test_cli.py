@@ -312,6 +312,21 @@ def test_admissible_target(capsys):
     assert "realized: yes" in out
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["--field", "fp:4", "z^2", "z^^3"], "error: candidate polynomials f and g need --target"),
+        (["z^2"], "error: candidate polynomials f and g need --target"),
+        (["--field", "fp:4"], "error: 4 is not prime"),
+        (["--max-n", "15", "--field", "r"], "error: unknown field"),
+    ],
+)
+def test_admissible_listing_refuses_inputs_it_would_ignore(capsys, argv, message):
+    code, out, err = run_cli(capsys, "admissible", *argv)
+    assert code == 2
+    assert err.startswith(message) and not out
+
+
 @pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9", "٩,6", "9,²"])
 def test_admissible_bad_target_exit2(capsys, target):
     code, out, err = run_cli(capsys, "admissible", "--target", target, "z^2", "z^3")

@@ -10,22 +10,26 @@ from polydep import (
     Laurent2,
     UniPoly,
     check_resultant_power,
-    det_cofactor,
-    det_fraction_free,
     divides,
     minimality_certificate,
     prime_field,
     rationals,
     run,
     substitute,
-    sylvester_matrix,
     sylvester_resultant,
 )
 from polydep.errors import DegreeCapExceeded, NotPolynomial, PreconditionFailed
 from polydep import oracle
 from polydep.laurent import mul_terms
+from polydep.scalar import is_prime, word_primes
 from gen import random_pair
-from reference import horner_substitute, resultant_top_terms
+from reference import (
+    det_cofactor,
+    det_fraction_free,
+    horner_substitute,
+    resultant_top_terms,
+    sylvester_matrix,
+)
 
 Q = rationals()
 F2 = prime_field(2)
@@ -272,12 +276,23 @@ def test_resultant_bound_covers_every_coefficient(pair):
 
 
 def primes_used(monkeypatch):
-    """Record the modulus of every evaluation pass of sylvester_resultant."""
+    """Record the modulus of every evaluation pass of sylvester_resultant: one
+    below 2^60 as itself, a product of word primes as its factors, in the
+    order the primes are drawn."""
     seen = []
     passes = oracle._scaled_resultant_mod
 
     def spy(F, a, G, b, q):
-        seen.append(q)
+        if q < 2**60:
+            seen.append(q)
+        else:
+            rest = q
+            primes = word_primes()
+            while rest > 1:
+                w = next(primes)
+                if not rest % w:
+                    seen.append(w)
+                    rest //= w
         return passes(F, a, G, b, q)
 
     monkeypatch.setattr(oracle, "_scaled_resultant_mod", spy)
@@ -324,6 +339,25 @@ def test_resultant_small_p_lifts_to_word_primes(monkeypatch):
         seen = primes_used(monkeypatch)
         assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
         assert seen == [p]
+
+
+def test_resultant_reruns_when_a_pivot_is_not_a_unit(monkeypatch):
+    # with the primes below 1000 a Hessenberg pivot of this pair is zero
+    # modulo 991 but not modulo the product, and after the rerun one is zero
+    # modulo 997, so the pass runs three times
+    small = [q for q in range(997, 22, -2) if is_prime(q)]
+    monkeypatch.setattr(oracle, "word_primes", lambda: iter(small))
+    moduli = []
+    passes = oracle._scaled_resultant_mod
+
+    def spy(F, a, G, b, q):
+        moduli.append(q)
+        return passes(F, a, G, b, q)
+
+    monkeypatch.setattr(oracle, "_scaled_resultant_mod", spy)
+    f, g = random_pair(random.Random(416), Q, max_degree=8)
+    assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
+    assert len(moduli) > 1
 
 
 # -- power identity ----------------------------------------------------------------
