@@ -31,6 +31,9 @@ from .unipoly import UniPoly
 
 SCHEMA_VERSION = "1"
 MAX_EXPONENT = 100_000
+# the largest `admissible --max-n`; the listing's cost grows about tenfold
+# for each fourfold n, and at this n it takes ~0.5 s (~1 s with --json)
+MAX_ADMISSIBLE_N = 8000
 DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
 
 
@@ -355,6 +358,8 @@ _COMMANDS = {
 
 def _list_admissible(args):
     max_n = args.max_n if args.max_n is not None else 30
+    if max_n > MAX_ADMISSIBLE_N:
+        raise PreconditionFailed(f"--max-n must be at most {MAX_ADMISSIBLE_N}")
     sequences = semigroup.enumerate_two_admissible(max_n)
     if args.json:
         emit_json(

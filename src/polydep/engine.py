@@ -7,7 +7,14 @@ degree stops being divisible by the running gcd d_i (a new chain element) or
 the residual vanishes (the relation).  Every chain element is held twice:
 symbolically as an element of K[f, f^-1, g] and concretely as an element of
 K[z, f(z)^-1].  The image moves with every subtraction, since its leading
-term picks the next monomial.  The symbolic side is formed once per step:
+term picks the next monomial.  Within a step it is a `Residual`: the
+integer numerator packed in one big integer, `width` bytes per
+coefficient.  An event is one Kronecker product of the monomial's g-part
+and power of f, whose packs the `Chain` caches at their natural widths
+and widens by strided byte copies, then one update R*ma - P*mb of the big
+integer; its leading coefficient and degree read off the top slot.  The
+image is unpacked once, when the step ends.  The symbolic side is formed
+once per step:
 the coefficients of a step's monomials are collected under their g-part G
 (the product of chain-element powers), and the residual is
 g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part.
@@ -37,7 +44,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2
-from .unipoly import FImage, UniPoly
+from .unipoly import FImage, Pack, UniPoly, _pack, _unpack, slot_width, top_digit, widen
 
 
 @dataclass(frozen=True)
@@ -88,10 +95,12 @@ class Chain:
         self.n = f.degree
         self.steps = []
         self._f_pows = [UniPoly.one(field), f]
+        self._f_packs = {}  # e -> Pack of f^e
         self._f_lc_pows = {}  # lc(f)^e for the e seen so far, e of either sign
         self._lc_pows = []  # per chain element, its z-lc^j for 0 <= j < a
         # g-parts keyed by their exponents without trailing zeros
         self._gparts = {(): (Laurent2.one(field), FImage.from_poly(UniPoly.one(field), f))}
+        self._gpart_packs = {}  # the same keys: (Pack of the image's num, its fpow)
 
     def __len__(self):
         return len(self.steps)
@@ -118,6 +127,25 @@ class Chain:
         while len(pows) <= e:
             pows.append(pows[-1] * self.f)
         return pows[e]
+
+    def f_pack(self, e):
+        """f^e packed for products, cached; e >= 0."""
+        got = self._f_packs.get(e)
+        if got is None:
+            got = self._f_packs[e] = Pack(self.f_power(e))
+        return got
+
+    def drop_packs(self):
+        """Free the packs, which only the reduction uses; they refill on demand."""
+        self._f_packs.clear()
+        self._gpart_packs.clear()
+
+    def f_lc_power(self, e):
+        """lc(f)^e for any integer e, cached."""
+        c = self._f_lc_pows.get(e)
+        if c is None:
+            c = self._f_lc_pows[e] = self.field.pow(self.f.leading_coefficient(), e)
+        return c
 
     def std_monomial_of_degree(self, s, deg):
         """The unique s-standard monomial of the given z-degree.
@@ -169,6 +197,15 @@ class Chain:
             got = self._gparts[key] = (got[0] * st.symbolic, got[1] * st.image)
         return got
 
+    def gpart_pack(self, gexps):
+        """The g-part's image packed for products, cached: (Pack of its num, its fpow)."""
+        key = _strip(gexps)
+        got = self._gpart_packs.get(key)
+        if got is None:
+            img = self._gpart(key)[1]
+            got = self._gpart_packs[key] = (Pack(img.num), img.fpow)
+        return got
+
     def monomial_image(self, mono):
         """The monomial evaluated at (f(z), g(z)), as an element of K[z, f^-1]."""
         img = self._gpart(mono.gexps)[1]
@@ -189,10 +226,7 @@ class Chain:
     def monomial_z_lc(self, mono):
         """Leading z-coefficient of the monomial image, from factor lcs only."""
         field = self.field
-        e = mono.fexp
-        c = self._f_lc_pows.get(e)
-        if c is None:
-            c = self._f_lc_pows[e] = field.pow(self.f.leading_coefficient(), e)
+        c = self.f_lc_power(mono.fexp)
         for j, pows in zip(mono.gexps, self._lc_pows):
             if j:
                 c = field.reduce(c * pows[j])
@@ -225,41 +259,165 @@ def reduction_cap(n, m0):
     return 4 * (n + abs(m0) + 2) * (n + 2)
 
 
+# spare bytes per slot when the residual is packed or widened, so that it
+# widens (over Q) or reduces mod p (over F_p) only every few events
+HEADROOM = 1
+
+
+class Residual:
+    """A step's residual num / (den * f^fpow), its integer num packed in one int.
+
+    `value` holds the num with `width`-byte slots; `bound` bounds every
+    digit, and stays below 2^(8*width-1), so the top digit `lc` in slot
+    `top` reads off by `top_digit`.  Over Q, `content` divides the gcd
+    of the digits; over F_p den is 1, every digit is non-negative and the
+    top one is nonzero mod p.
+    """
+
+    def __init__(self, chain, image):
+        self.chain = chain
+        self.field = chain.field
+        num = image.num
+        self.fpow = image.fpow
+        self.den = num.den
+        self.content = math.gcd(*num.nums)
+        self.bound = max(map(abs, num.nums))
+        self.width = slot_width(self.bound) + HEADROOM
+        self._set(_pack(num.nums, self.width))
+
+    def _set(self, value):
+        """Install a new value and read its top digit; over F_p, digits that are 0 mod p go."""
+        p = self.field.p
+        bits = 8 * self.width
+        while value:
+            top, lc = top_digit(value, self.width)
+            if p is None or lc % p:
+                break
+            value -= lc << (bits * top)
+        else:
+            top = lc = None
+        self.value, self.top, self.lc = value, top, lc
+
+    def zdeg(self):
+        return self.top - self.fpow * self.chain.n
+
+    def image(self):
+        """The residual as an FImage, normalised; one pass over the digits."""
+        nums = _unpack(self.value, self.top + 1, self.width)
+        num = UniPoly._normal(self.field, nums, self.den)
+        return FImage(num, self.fpow, self.chain.f)
+
+    def _widen(self, bound):
+        """Re-cut the slots so that they hold `bound`, with headroom."""
+        width = slot_width(bound) + HEADROOM
+        self.value = widen(self.value, self.top + 1, self.width, width, self.field.p is None)
+        self.width = width
+
+    def _reduce_mod_p(self):
+        """Bring every digit back into [0, p); the top digit stays nonzero mod p."""
+        p = self.field.p
+        nums = _unpack(self.value, self.top + 1, self.width)
+        self.value = _pack([c % p for c in nums], self.width)
+        self.bound = p - 1
+
+    def _mul_f_power(self, e):
+        """Multiply the num by f^e and raise fpow by e, e > 0."""
+        fp = self.chain.f_pack(e)
+        n = self.top + 1
+        self.bound *= fp.bound * min(n, fp.n)
+        width = slot_width(self.bound) + HEADROOM
+        value = widen(self.value, n, self.width, width, self.field.p is None) * fp.at(width)
+        self.width = width
+        self.den *= fp.den
+        self.content *= fp.content
+        self.fpow += e
+        self._set(value)
+
+    def eliminate(self, mono):
+        """Subtract k times the monomial's image to cancel the top digit; returns k.
+
+        The image is G * f^t over the aligned power of f: G the g-part's
+        num, t = fexp + fpow - fpow(G), raising fpow first when t < 0.  It
+        is one Kronecker product of the cached packs, widened to the
+        residual's slots, and the update is R*ma - P*mb on the packed ints.
+        """
+        chain, field = self.chain, self.field
+        p = field.p
+        gp, g_fpow = chain.gpart_pack(mono.gexps)
+        t = mono.fexp + self.fpow - g_fpow
+        if t < 0:
+            self._mul_f_power(-t)
+            t = 0
+        fp = chain.f_pack(t)
+        n = gp.n + fp.n - 1
+        bound = gp.bound * fp.bound * min(gp.n, fp.n)
+        width = slot_width(bound)
+        prod = gp.at(width) * fp.at(width)
+        den = gp.den * fp.den
+        lc = top_digit(prod, width)[1]
+        z_lc = field.div(field.quotient(lc, den), chain.f_lc_power(self.fpow))
+        if z_lc != chain.monomial_z_lc(mono):
+            raise InternalInvariantViolation(
+                "monomial image leading coefficient disagrees with factor product"
+            )
+        k = field.quotient(self.lc * den, self.den * lc)
+        if p is None:
+            kn, kd = k.numerator, k.denominator
+            g = math.gcd(self.den, kd * den)
+            ma, mb = kd * den // g, kn * (self.den // g)
+            new_bound = self.bound * ma + bound * abs(mb)
+        else:
+            ma, mb = 1, k - p  # R + (p - k) * P keeps every digit non-negative
+            new_bound = self.bound + bound * (p - k)
+            if new_bound.bit_length() >= 8 * self.width:
+                self._reduce_mod_p()
+                new_bound = self.bound + bound * (p - k)
+        if new_bound.bit_length() >= 8 * self.width:
+            self._widen(new_bound)
+        value = self.value * ma - widen(prod, n, width, self.width, p is None) * mb
+        if p is None:
+            self.den *= ma
+            c = math.gcd(self.content * ma, gp.content * fp.content * mb)
+            h = math.gcd(c, self.den)
+            if h != 1:
+                value //= h
+                self.den //= h
+                new_bound //= h
+            self.content = c // h
+        self.bound = new_bound
+        self._set(value)
+        return k
+
+
 def reduce_step(chain, s, max_reductions=None):
     """Reduce g_s^{a_s}: eliminate leading terms by standard monomials.
 
     Returns NewChainElement when the residual degree stops being divisible
     by d_s, or Relation when the residual vanishes.  Each event moves the
-    z-image of the residual and files its coefficient under the monomial's
-    g-part; the symbolic residual follows from those once, at the end, so
-    the Relation case hands back the finished polynomial in (f, g) directly.
+    packed z-image of the residual (`Residual`) and files its coefficient
+    under the monomial's g-part; the image is unpacked once, at the end,
+    and the symbolic residual follows from the coefficients once, so the
+    Relation case hands back the finished polynomial in (f, g) directly.
     """
     step = chain.steps[s]
     field = chain.field
     d_s = step.d
     top_sym, top_img = chain._gpart((0,) * s + (step.a - 1,))
-    r_img = top_img * step.image
+    r = Residual(chain, top_img * step.image)
     cap = max_reductions if max_reductions is not None else reduction_cap(
         chain.n, chain.steps[0].m
     )
     events = []
     by_gpart = {}  # gexps -> {fexp: coefficient}
-    while r_img:
-        deg = r_img.zdeg()
+    while r.value:
+        deg = r.zdeg()
         if deg % d_s:
             break
         mono = chain.std_monomial_of_degree(s, deg)
-        img = chain.monomial_image(mono)
-        lc = img.z_leading_coefficient()
-        if lc != chain.monomial_z_lc(mono):
-            raise InternalInvariantViolation(
-                "monomial image leading coefficient disagrees with factor product"
-            )
-        k = field.div(r_img.z_leading_coefficient(), lc)
-        r_img = r_img.sub_scaled(img, k)
+        k = r.eliminate(mono)
         by_gpart.setdefault(mono.gexps, {})[mono.fexp] = k  # degrees fall, so no repeats
         events.append(ReductionEvent(s, deg, mono, k))
-        if r_img and r_img.zdeg() >= deg:
+        if r.value and r.zdeg() >= deg:
             raise InternalInvariantViolation(
                 f"degree failed to decrease at step {s} (deg {deg})"
             )
@@ -273,8 +431,8 @@ def reduce_step(chain, s, max_reductions=None):
     for gexps, coeffs in by_gpart.items():
         in_f = Laurent2(field, {(e, 0): k for e, k in coeffs.items()})
         r_sym = r_sym - chain._gpart(gexps)[0] * in_f
-    if r_img:
-        return NewChainElement(r_sym, r_img, events)
+    if r.value:
+        return NewChainElement(r_sym, r.image(), events)
     return Relation(r_sym, events)
 
 
@@ -353,6 +511,7 @@ def run(f, g, max_reductions=None):
         if len(chain.steps) > chain.n:
             raise InternalInvariantViolation("chain grew past the dimension bound")
     relation = _normalize_relation(field, chain, relation)
+    chain.drop_packs()
     return DependenceResult(field, f, g, chain.n, swapped, chain, relation, trace)
 
 

@@ -180,6 +180,14 @@ class Field:
             return a / b
         return a * pow(b, -1, self.p) % self.p
 
+    def quotient(self, a, b):
+        """The canonical scalar a / b of two ints."""
+        if self.p is None:
+            return Fraction(a, b)
+        if not b % self.p:
+            raise DivisionByZero("scalar division by zero")
+        return a * pow(b, -1, self.p) % self.p
+
     def inv(self, a):
         return self.div(self.one, a)
 

@@ -12,6 +12,11 @@ cut back into coefficients.  Sums work over the lcm of the denominators.
 Every result is brought to canonical form by one gcd over its integers,
 never by one `Fraction` per coefficient.
 
+The engine's reduction events use the packed form directly: a `Pack`
+holds one polynomial's nums at their natural slot width, `widen` re-cuts
+a packed value to wider slots by strided byte copies, and `top_digit`
+reads the leading slot of a packed value without unpacking it.
+
 `FImage` represents num / f(z)^fpow for one fixed base polynomial f, which
 is the only denominator the reduction algorithm ever needs.  The z-degree
 of such a fraction is deg(num) minus fpow*deg(f), matching the degree of a
@@ -59,6 +64,84 @@ def _unpack(value, n, width):
     return [from_bytes(raw[i : i + width], "little") - half for i in range(0, size, width)]
 
 
+def slot_width(bound):
+    """The fewest bytes per slot that hold every |c| <= bound with a sign bit to spare."""
+    return bound.bit_length() // 8 + 1
+
+
+def _restride(raw, n, width, to, half):
+    """The n slots of `raw` as an int with `to`-byte slots, `to` >= `width`.
+
+    Each slot of `raw` holds a digit plus `half` in `width` bytes.  Byte j
+    of every slot moves in one strided copy, so the cost is `width`
+    C-level copies, not a pass over the digits.
+    """
+    if to == width:
+        value = int.from_bytes(raw, "little")
+    else:
+        out = bytearray(to * n)
+        for j in range(width):
+            out[j::to] = raw[j::width]
+        value = int.from_bytes(out, "little")
+    if half:
+        value -= int.from_bytes(half.to_bytes(to, "little") * n, "little")
+    return value
+
+
+def widen(value, n, width, to, signed):
+    """A packed value of n digits with `width`-byte slots, re-cut to `to` >= `width` bytes.
+
+    Signed digits are offset by half a slot first, so that each slot is a
+    plain unsigned byte string; over F_p every digit is non-negative and
+    `signed` is False.
+    """
+    if to == width:
+        return value
+    half = 1 << (8 * width - 1) if signed else 0
+    if half:
+        value += int.from_bytes(half.to_bytes(width, "little") * n, "little")
+    return _restride(value.to_bytes(width * n, "little"), n, width, to, half)
+
+
+def top_digit(value, width):
+    """(t, c): the index and value of the top nonzero digit of a nonzero packed value.
+
+    Every digit must be below 2^(8*width-1) in absolute value; then the
+    digits under the top one sum to less than half a unit of it, so t
+    follows from the bit length and c is the value shifted down to that
+    slot, rounded.
+    """
+    bits = 8 * width
+    t = value.bit_length() // bits
+    return t, ((value >> (bits * t - 1)) + 1) >> 1 if t else value
+
+
+class Pack:
+    """A polynomial's nums packed once at its natural width, for products at wider ones.
+
+    `raw` holds every num plus the half-slot offset (none over F_p, where
+    nums are residues), so `at` widens it without touching the digits.
+    `content` is the gcd of the nums and `den` the polynomial's
+    denominator.
+    """
+
+    __slots__ = ("raw", "n", "width", "half", "bound", "content", "den")
+
+    def __init__(self, poly):
+        nums = poly.nums
+        self.n = len(nums)
+        self.bound = max(map(abs, nums))
+        self.width = width = slot_width(self.bound)
+        self.half = half = 1 << (8 * width - 1) if poly.field.p is None else 0
+        self.raw = b"".join([(c + half).to_bytes(width, "little") for c in nums])
+        self.content = math.gcd(*nums)
+        self.den = poly.den
+
+    def at(self, width):
+        """The nums packed with `width`-byte slots, `width` >= self.width."""
+        return _restride(self.raw, self.n, self.width, width, self.half)
+
+
 def _kronecker(a, b):
     """The convolution of two nonempty int vectors by one big-int product.
 
@@ -68,7 +151,7 @@ def _kronecker(a, b):
     integers back into the output coefficients.
     """
     bound = max(map(abs, a)) * max(map(abs, b)) * min(len(a), len(b))
-    width = bound.bit_length() // 8 + 1
+    width = slot_width(bound)
     x = _pack(a, width)
     y = x if b is a else _pack(b, width)
     return _unpack(x * y, len(a) + len(b) - 1, width)
@@ -184,12 +267,12 @@ class UniPoly:
 
     # -- ring operations -----------------------------------------------------
 
-    def _add_scaled(self, other, kn, kd):
-        """self + (kn / kd) * other, over the lcm of the denominators: one pass, one gcd."""
+    def _add_signed(self, other, sign):
+        """self + sign * other, over the lcm of the denominators: one pass, one gcd."""
         self._check_field(other)
         a, b = self.nums, other.nums
-        g = math.gcd(self.den, other.den * kd)
-        ma, mb = other.den * kd // g, kn * (self.den // g)
+        g = math.gcd(self.den, other.den)
+        ma, mb = other.den // g, sign * (self.den // g)
         n = min(len(a), len(b))
         out = [x * ma + y * mb for x, y in zip(a, b)]
         if len(a) > n:
@@ -199,14 +282,10 @@ class UniPoly:
         return UniPoly._normal(self.field, out, self.den * ma)
 
     def __add__(self, other):
-        return self._add_scaled(other, 1, 1)
+        return self._add_signed(other, 1)
 
     def __sub__(self, other):
-        return self._add_scaled(other, -1, 1)
-
-    def sub_scaled(self, other, k):
-        """self - k * other for a canonical scalar k."""
-        return self._add_scaled(other, -k.numerator, k.denominator)
+        return self._add_signed(other, -1)
 
     def __neg__(self):
         return UniPoly._normal(self.field, [-c for c in self.nums], self.den)
@@ -377,12 +456,6 @@ class FImage:
         self._check_base(other)
         a, b, w = self._aligned(other)
         return FImage(a - b, w, self.f_ref)
-
-    def sub_scaled(self, other, k):
-        """self - k * other for a canonical scalar k; one pass over the numerators."""
-        self._check_base(other)
-        a, b, w = self._aligned(other)
-        return FImage(a.sub_scaled(b, k), w, self.f_ref)
 
     def __neg__(self):
         return FImage(-self.num, self.fpow, self.f_ref)

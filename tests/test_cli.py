@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydep import Laurent2, UniPoly, engine, parse_field, prime_field, rationals, semigroup
-from polydep.cli import main, parse_polynomial, relation_from_json
+from polydep.cli import MAX_ADMISSIBLE_N, main, parse_polynomial, relation_from_json
 from polydep.errors import (
     CoefficientNotInField,
     IterationCapExceeded,
@@ -325,6 +325,18 @@ def test_admissible_listing_refuses_inputs_it_would_ignore(capsys, argv, message
     code, out, err = run_cli(capsys, "admissible", *argv)
     assert code == 2
     assert err.startswith(message) and not out
+
+
+def test_admissible_max_n_is_capped(capsys):
+    cap = MAX_ADMISSIBLE_N
+    assert cap >= 99  # the largest --max-n the benchmark sends
+    for extra in ([], ["--json"]):
+        code, out, err = run_cli(capsys, "admissible", *extra, "--max-n", str(cap + 1))
+        assert code == 2
+        assert err.startswith(f"error: --max-n must be at most {cap}") and not out
+    code, out, _ = run_cli(capsys, "admissible", "--max-n", str(cap))
+    assert code == 0
+    assert out.splitlines()[-1].startswith(f"({cap - 1};")  # the largest odd n <= cap
 
 
 @pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9", "٩,6", "9,²"])

@@ -20,13 +20,17 @@ from polydep import (
     run,
     substitute,
 )
+from polydep import engine
+from polydep.engine import Residual
+from polydep.unipoly import _unpack
 from polydep.errors import (
     ConstantInput,
+    InternalInvariantViolation,
     IterationCapExceeded,
     NotDivisible,
     WrongCharacteristic,
 )
-from gen import random_pair
+from gen import random_pair, random_poly
 
 Q = rationals()
 F2 = prime_field(2)
@@ -347,3 +351,157 @@ def test_nonmonic_inputs():
     res = run(fb, gb)
     check_chain_invariants(res)
     assert not substitute(res.relation, fb, gb)
+
+
+# -- the packed event loop on bench-sized pairs ------------------------------------
+
+P31, P61 = 2**31 - 1, 2**61 - 1
+# over F_2, f = (z + 1)^8 drives the chain degrees to (12, 18, -9)
+NEGATIVE_CHAIN = (poly(F2, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+                  poly(F2, 0, 1, 0, 1, 0, 0, 0, 0, 0, 0, 1, 0, 1))
+
+
+def dense_pair(field, n, m, seed, lcs=None, den=1):
+    """Seeded (deg f, deg g) = (n, m) pair; over Q, small numerators over
+    1..den below the leading coefficients `lcs`."""
+    rng = random.Random(seed)
+    if field.p is None:
+        f, g = (
+            [Fraction(rng.randint(-6, 6), rng.randint(1, den)) for _ in range(d)] + [lc]
+            for d, lc in zip((n, m), lcs)
+        )
+        return poly(field, *f), poly(field, *g)
+    return random_poly(rng, field, n), random_poly(rng, field, m)
+
+
+def replay(result):
+    """Each step again from g_s^(a_s), one FImage subtraction per event.
+
+    Every event must start at the residual's z-degree with k the ratio of
+    the z-leading coefficients, and each step must end in the next chain
+    element or in zero.
+    """
+    field, chain = result.field, result.chain
+    for s, step in enumerate(chain.steps):
+        r_img = step.image**step.a
+        for ev in (e for e in result.trace if e.step == s):
+            assert r_img.zdeg() == ev.degree_before
+            mono = chain.monomial_image(ev.monomial)
+            assert ev.coefficient == field.div(
+                r_img.z_leading_coefficient(), mono.z_leading_coefficient()
+            )
+            r_img = r_img - mono.scale(ev.coefficient)
+        if s + 1 < len(chain.steps):
+            assert r_img == chain.steps[s + 1].image
+        else:
+            assert not r_img
+
+
+def check_residual(r):
+    """Digits within the bound and the bound within the slots; content; top digit."""
+    if not r.value:
+        return
+    digits = _unpack(r.value, r.top + 1, r.width)
+    assert max(map(abs, digits)) <= r.bound < 2 ** (8 * r.width - 1)
+    assert r.lc == digits[-1]
+    p = r.field.p
+    if p is None:
+        assert math.gcd(*digits) % r.content == 0
+    else:
+        assert min(digits) >= 0 and r.lc % p and r.den == 1
+
+
+def check_every_residual(monkeypatch):
+    original = Residual._set
+
+    def checked(self, value):
+        original(self, value)
+        check_residual(self)
+
+    monkeypatch.setattr(Residual, "_set", checked)
+
+
+def count_calls(monkeypatch, name):
+    """Wrap Residual.<name>; the returned list grows by one per call."""
+    calls = []
+    original = getattr(Residual, name)
+
+    def counted(self, *args):
+        calls.append(args)
+        return original(self, *args)
+
+    monkeypatch.setattr(Residual, name, counted)
+    return calls
+
+
+BENCH_SIZED = {
+    "q-12x18": lambda: dense_pair(Q, 12, 18, 1, lcs=(2, -3)),
+    # denominators: the residual's known content divides out of its den
+    "q-fractions-8x12": lambda: dense_pair(Q, 8, 12, 7, lcs=(Fraction(2, 3), -3), den=4),
+    "p31-12x18": lambda: dense_pair(prime_field(P31), 12, 18, 2),
+    "p61-12x18": lambda: dense_pair(prime_field(P61), 12, 18, 3),
+    "f2-negative-chain": lambda: NEGATIVE_CHAIN,
+}
+
+
+@pytest.mark.parametrize("name", list(BENCH_SIZED))
+def test_packed_loop_replays_on_bench_sized_pairs(name):
+    result = run(*BENCH_SIZED[name]())
+    replay(result)
+    if name == "f2-negative-chain":
+        assert result.m_sequence == (12, 18, -9)
+
+
+@pytest.mark.parametrize(
+    "name, branch",
+    [
+        ("q-12x18", "_widen"),
+        ("q-fractions-8x12", "_widen"),
+        ("p31-12x18", "_reduce_mod_p"),
+        ("p61-12x18", "_reduce_mod_p"),
+        ("f2-negative-chain", "_mul_f_power"),
+    ],
+)
+def test_growth_branches_are_taken_and_change_nothing(monkeypatch, name, branch):
+    # without spare bytes per slot the residual outgrows its slots at
+    # once; the trace and the chain must come out the same either way
+    f, g = BENCH_SIZED[name]()
+    expected = run(f, g)
+    check_every_residual(monkeypatch)
+    calls = count_calls(monkeypatch, branch)
+    run(f, g)
+    assert calls  # taken with the default headroom too
+    monkeypatch.setattr(engine, "HEADROOM", 0)
+    tight = run(f, g)
+    assert len(calls) > 1
+    assert tight.trace == expected.trace
+    assert [(st.symbolic, st.image) for st in tight.chain] == [
+        (st.symbolic, st.image) for st in expected.chain
+    ]
+    assert tight.relation == expected.relation
+
+
+def test_residual_keeps_its_value_under_a_power_of_f():
+    # over Q a run never raises the residual's power of f, so a non-integer
+    # f with content is tried here directly
+    f = poly(Q, Fraction(4, 3), 0, 2, Fraction(-2, 5))  # content 2, den 15
+    h = poly(Q, Fraction(1, 7), -3, 0, 5, 9, Fraction(2, 3))
+    r = Residual(Chain(Q, f), FImage(h, 1, f))
+    r._mul_f_power(3)
+    check_residual(r)
+    assert (r.fpow, r.zdeg()) == (4, h.degree - f.degree)
+    assert r.image() == FImage(h, 1, f)
+
+
+def test_wrong_monomial_lc_is_an_invariant_violation(monkeypatch):
+    original = Chain.monomial_z_lc
+    monkeypatch.setattr(Chain, "monomial_z_lc", lambda self, mono: original(self, mono) + 1)
+    with pytest.raises(InternalInvariantViolation, match="leading coefficient"):
+        run(*golden_pair(Q))
+
+
+def test_stalled_degree_is_an_invariant_violation(monkeypatch):
+    # an event that leaves the residual as it was must not loop until the cap
+    monkeypatch.setattr(Residual, "eliminate", lambda self, mono: Q.one)
+    with pytest.raises(InternalInvariantViolation, match="failed to decrease"):
+        run(*golden_pair(Q))

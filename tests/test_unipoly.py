@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydep import NEG_INF, FImage, UniPoly, prime_field, rationals
+from polydep.unipoly import Pack, _pack, top_digit, widen
 from polydep.errors import (
     DivisionByZero,
     FieldMismatch,
@@ -236,6 +237,30 @@ def test_kronecker_slots_at_the_bound():
                 assert (poly(Q, *ca) * poly(Q, *cb)).coeffs == ref_mul(ca, cb, None)
                 alt = [m * (-1) ** i for i in range(la)]
                 assert (poly(Q, *alt) * poly(Q, *alt)).coeffs == ref_mul(alt, alt, None)
+
+
+def test_packed_digits_widen_and_read_at_the_slot_bound():
+    # digits as large as a slot allows, of both signs: widening keeps every
+    # digit, and the top digit and its index read off any packed value
+    rng = random.Random(11)
+    for width in (1, 2, 3, 9):
+        top = 2 ** (8 * width - 1) - 1
+        for _ in range(40):
+            n = rng.randint(1, 8)
+            digits = [rng.choice((top, -top, 0, rng.randint(-top, top))) for _ in range(n)]
+            digits[-1] = digits[-1] or rng.choice((1, -1, top, -top))
+            value = _pack(digits, width)
+            assert top_digit(value, width) == (n - 1, digits[-1])
+            for to in (width, width + 1, width + 4):
+                wide = widen(value, n, width, to, True)
+                assert wide == _pack(digits, to)
+                assert top_digit(wide, to) == (n - 1, digits[-1])
+            residues = [abs(c) for c in digits]
+            assert widen(_pack(residues, width), n, width, width + 2, False) == _pack(
+                residues, width + 2
+            )
+            as_poly = UniPoly(Q, [Fraction(c) for c in digits])
+            assert Pack(as_poly).at(width + 3) == _pack(list(as_poly.nums), width + 3)
 
 
 # -- FImage ------------------------------------------------------------------
