@@ -34,6 +34,9 @@ MAX_EXPONENT = 100_000
 # the largest `admissible --max-n`; the listing's cost grows about tenfold
 # for each fourfold n, and at this n it takes ~0.5 s (~1 s with --json)
 MAX_ADMISSIBLE_N = 8000
+# the longest `--batch` line: Linux's limit on one command-line argument
+# (MAX_ARG_STRLEN), which already bounds a request given on the command line
+MAX_BATCH_LINE = 131_072
 DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
 
 
@@ -493,6 +496,11 @@ def _run_batch(path):
     for idx, line in enumerate(lines, start=1):
         line = line.strip()
         if not line or line.startswith("#"):
+            continue
+        if len(line) > MAX_BATCH_LINE:
+            print(f"== line {idx}: {line[:80]}...")
+            print(f"error: line longer than {MAX_BATCH_LINE} characters", file=sys.stderr)
+            worst = max(worst, 2)
             continue
         print(f"== line {idx}: {line}")
         try:

@@ -10,11 +10,12 @@ K[z, f(z)^-1].  The image moves with every subtraction, since its leading
 term picks the next monomial.  Within a step it is a `Residual`: the
 integer numerator packed in one big integer, `width` bytes per
 coefficient.  An event is one Kronecker product of the monomial's g-part
-and power of f, whose packs the `Chain` caches at their natural widths
-and widens by strided byte copies, then one update R*ma - P*mb of the big
-integer; its leading coefficient and degree read off the top slot.  The
-image is unpacked once, when the step ends.  The symbolic side is formed
-once per step:
+and power of f, then one update R*ma - P*mb of the big integer; its
+leading coefficient and degree read off the top slot.  The `Chain` holds
+one table of g-parts and one of powers of f, each entry built when an
+event first names it, with its pack at its natural width (widened by
+strided byte copies) beside it.  The image is unpacked once, when the
+step ends.  The symbolic side is formed once per step:
 the coefficients of a step's monomials are collected under their g-part G
 (the product of chain-element powers), and the residual is
 g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part.
@@ -85,7 +86,8 @@ class ChainStep:
 
 
 class Chain:
-    """The chain state for one run: base f, steps so far, per-run caches."""
+    """The chain state for one run: base f, steps so far, and one table per
+    kind of operand, each entry holding what an event reads, built on demand."""
 
     def __init__(self, field, f):
         if f.degree < 1:
@@ -94,13 +96,14 @@ class Chain:
         self.f = f
         self.n = f.degree
         self.steps = []
-        self._f_pows = [UniPoly.one(field), f]
-        self._f_packs = {}  # e -> Pack of f^e
+        one = UniPoly.one(field)
+        self._f_pows = {}  # e -> (f^e, its Pack), e >= 0
         self._f_lc_pows = {}  # lc(f)^e for the e seen so far, e of either sign
-        self._lc_pows = []  # per chain element, its z-lc^j for 0 <= j < a
-        # g-parts keyed by their exponents without trailing zeros
-        self._gparts = {(): (Laurent2.one(field), FImage.from_poly(UniPoly.one(field), f))}
-        self._gpart_packs = {}  # the same keys: (Pack of the image's num, its fpow)
+        # g-parts keyed by their exponents without trailing zeros:
+        # (symbolic, image, Pack of the image's num, z-leading coefficient)
+        self._gparts = {
+            (): (Laurent2.one(field), FImage.from_poly(one, f), Pack(one), field.one)
+        }
 
     def __len__(self):
         return len(self.steps)
@@ -118,27 +121,24 @@ class Chain:
         d = math.gcd(d_prev, abs(m))
         a = d_prev // d
         self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, a))
-        lc = image.z_leading_coefficient()
-        self._lc_pows.append([self.field.pow(lc, j) for j in range(a)])
 
     def f_power(self, e):
-        """f^e as a polynomial, cached; e >= 0.  The table grows one product at a time."""
+        """f^e and its Pack, cached; e >= 0.
+
+        An uncached f^e is the largest cached power f^e0 below it (if any)
+        times f^(e - e0) by square-and-multiply, so a run builds only the
+        powers its events name: one product by f per power on a dense walk,
+        a few squarings for a jump.
+        """
         pows = self._f_pows
-        while len(pows) <= e:
-            pows.append(pows[-1] * self.f)
-        return pows[e]
-
-    def f_pack(self, e):
-        """f^e packed for products, cached; e >= 0."""
-        got = self._f_packs.get(e)
+        got = pows.get(e)
         if got is None:
-            got = self._f_packs[e] = Pack(self.f_power(e))
+            e0 = max(filter(e.__gt__, pows), default=0)
+            fe = self.f ** (e - e0)
+            if e0:
+                fe = pows[e0][0] * fe
+            got = pows[e] = (fe, Pack(fe))
         return got
-
-    def drop_packs(self):
-        """Free the packs, which only the reduction uses; they refill on demand."""
-        self._f_packs.clear()
-        self._gpart_packs.clear()
 
     def f_lc_power(self, e):
         """lc(f)^e for any integer e, cached."""
@@ -179,7 +179,8 @@ class Chain:
         )
 
     def _gpart(self, gexps):
-        """g_0^j_0 ... g_s^j_s, cached: (symbolic, image).
+        """g_0^j_0 ... g_s^j_s, cached: (symbolic, image, Pack of the
+        image's num, z-leading coefficient).
 
         An uncached g-part is the g-part with its last nonzero exponent
         lowered by one, times that chain element; the walk down stops at
@@ -194,16 +195,9 @@ class Chain:
             got = self._gparts.get(key)
         for key in reversed(missing):
             st = self.steps[len(key) - 1]
-            got = self._gparts[key] = (got[0] * st.symbolic, got[1] * st.image)
-        return got
-
-    def gpart_pack(self, gexps):
-        """The g-part's image packed for products, cached: (Pack of its num, its fpow)."""
-        key = _strip(gexps)
-        got = self._gpart_packs.get(key)
-        if got is None:
-            img = self._gpart(key)[1]
-            got = self._gpart_packs[key] = (Pack(img.num), img.fpow)
+            img = got[1] * st.image
+            lc = self.field.reduce(got[3] * st.image.z_leading_coefficient())
+            got = self._gparts[key] = (got[0] * st.symbolic, img, Pack(img.num), lc)
         return got
 
     def monomial_image(self, mono):
@@ -211,7 +205,7 @@ class Chain:
         img = self._gpart(mono.gexps)[1]
         e = mono.fexp
         if e > 0:
-            return FImage(img.num * self.f_power(e), img.fpow, self.f)
+            return FImage(img.num * self.f_power(e)[0], img.fpow, self.f)
         if e < 0:
             return FImage(img.num, img.fpow - e, self.f)
         return img
@@ -225,12 +219,7 @@ class Chain:
 
     def monomial_z_lc(self, mono):
         """Leading z-coefficient of the monomial image, from factor lcs only."""
-        field = self.field
-        c = self.f_lc_power(mono.fexp)
-        for j, pows in zip(mono.gexps, self._lc_pows):
-            if j:
-                c = field.reduce(c * pows[j])
-        return c
+        return self.field.reduce(self._gpart(mono.gexps)[3] * self.f_lc_power(mono.fexp))
 
 
 def _strip(gexps):
@@ -322,7 +311,7 @@ class Residual:
 
     def _mul_f_power(self, e):
         """Multiply the num by f^e and raise fpow by e, e > 0."""
-        fp = self.chain.f_pack(e)
+        fp = self.chain.f_power(e)[1]
         n = self.top + 1
         self.bound *= fp.bound * min(n, fp.n)
         width = slot_width(self.bound) + HEADROOM
@@ -343,12 +332,12 @@ class Residual:
         """
         chain, field = self.chain, self.field
         p = field.p
-        gp, g_fpow = chain.gpart_pack(mono.gexps)
-        t = mono.fexp + self.fpow - g_fpow
+        _, img, gp, _ = chain._gpart(mono.gexps)
+        t = mono.fexp + self.fpow - img.fpow
         if t < 0:
             self._mul_f_power(-t)
             t = 0
-        fp = chain.f_pack(t)
+        fp = chain.f_power(t)[1]
         n = gp.n + fp.n - 1
         bound = gp.bound * fp.bound * min(gp.n, fp.n)
         width = slot_width(bound)
@@ -402,7 +391,7 @@ def reduce_step(chain, s, max_reductions=None):
     step = chain.steps[s]
     field = chain.field
     d_s = step.d
-    top_sym, top_img = chain._gpart((0,) * s + (step.a - 1,))
+    top_sym, top_img = chain._gpart((0,) * s + (step.a - 1,))[:2]
     r = Residual(chain, top_img * step.image)
     cap = max_reductions if max_reductions is not None else reduction_cap(
         chain.n, chain.steps[0].m
@@ -511,7 +500,6 @@ def run(f, g, max_reductions=None):
         if len(chain.steps) > chain.n:
             raise InternalInvariantViolation("chain grew past the dimension bound")
     relation = _normalize_relation(field, chain, relation)
-    chain.drop_packs()
     return DependenceResult(field, f, g, chain.n, swapped, chain, relation, trace)
 
 

@@ -141,14 +141,15 @@ def substitute(relation, f, g):
 
 def _evaluate(by_g, x, y, a, b, E):
     """The sum over j of b^(J-j) y^j times the sum over (i, c) in by_g[j] of
-    c a^(E-i) x^i, with J = len(by_g) - 1; by Horner in y."""
-    x_pows, a_pows = [1], [1]
-    for _ in range(E):
-        x_pows.append(x_pows[-1] * x)
-        a_pows.append(a_pows[-1] * a)
+    c a^(E-i) x^i, with J = len(by_g) - 1; by Horner in y.  x^i is formed
+    only for the i that occur, each from the next lower one."""
+    x_pows, prev = {0: 1}, 0
+    for i in sorted({i for row in by_g for i, _ in row}):
+        x_pows[i] = x_pows[prev] * x ** (i - prev)
+        prev = i
     acc, b_pow = 0, 1
     for row in reversed(by_g):
-        acc = acc * y + b_pow * sum(c * a_pows[E - i] * x_pows[i] for i, c in row)
+        acc = acc * y + b_pow * sum(c * a ** (E - i) * x_pows[i] for i, c in row)
         b_pow *= b
     return acc
 

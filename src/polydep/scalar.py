@@ -233,14 +233,14 @@ def power(base, e, one):
     """base**e for e >= 0 by square-and-multiply; `one` is the ring's identity."""
     if e < 0:
         raise ValueError(f"negative power of a {type(base).__name__}")
-    result = one
+    result = None
     while e:
         if e & 1:
-            result = result * base
+            result = base if result is None else result * base
         e >>= 1
         if e:
             base = base * base
-    return result
+    return one if result is None else result
 
 
 def clear_denominators(values):

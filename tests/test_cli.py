@@ -11,7 +11,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from polydep import Laurent2, UniPoly, engine, parse_field, prime_field, rationals, semigroup
-from polydep.cli import MAX_ADMISSIBLE_N, main, parse_polynomial, relation_from_json
+from polydep.cli import (
+    MAX_ADMISSIBLE_N,
+    MAX_BATCH_LINE,
+    main,
+    parse_polynomial,
+    relation_from_json,
+)
 from polydep.errors import (
     CoefficientNotInField,
     IterationCapExceeded,
@@ -477,6 +483,20 @@ def test_batch_unbalanced_quote_exit2(tmp_path, capsys):
     assert "P = g^2 - f^3" in out
 
 
+def test_batch_line_longer_than_an_argument_exit2(tmp_path, capsys):
+    # a line at the cap runs; one past it is refused before its
+    # 200000-digit coefficient is parsed, and the next line still runs
+    at_cap = "depend z^2" + " " * (MAX_BATCH_LINE - 13) + "z^3"
+    assert len(at_cap) == MAX_BATCH_LINE
+    batch = tmp_path / "requests.txt"
+    batch.write_text(f"{at_cap}\ndepend z^2 {'7' * 200_000}*z^3\ndepend z^2 z^3\n")
+    code, out, err = run_cli(capsys, "--batch", str(batch))
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert out.count("P = g^2 - f^3") == 2
+    assert "7" * 100 not in out  # the refused line is not echoed in full
+
+
 @pytest.mark.parametrize("mode", [["--json"], []])
 def test_ams_runs_engine_once(monkeypatch, capsys, mode):
     calls = []
@@ -568,11 +588,19 @@ def test_parse_polynomial_leaves_the_digit_limit_alone():
 
 
 def test_depend_past_the_recursion_limit(capsys):
-    # f^1200 and g^1199 come from tables grown one product at a time
+    # f^1200 comes by square-and-multiply and g^1199 from the g-part walk,
+    # one product at a time; neither recurses
     for f, g, relation in [("z", "z^1200", "P = g - f^1200"), ("z^1200", "z", "P = g^1200 - f")]:
         code, out, err = run_cli(capsys, "depend", f, g)
         assert (code, err) == (0, "")
         assert relation in out.splitlines()
+
+
+def test_depend_sparse_high_exponent(capsys):
+    # one reduction event with f^20001, built without the powers below it
+    code, out, err = run_cli(capsys, "depend", "z^2", "z^20001")
+    assert (code, err) == (0, "")
+    assert "P = g^2 - f^20001" in out.splitlines()
 
 
 def test_depend_reports_swap(capsys):

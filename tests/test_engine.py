@@ -505,3 +505,44 @@ def test_stalled_degree_is_an_invariant_violation(monkeypatch):
     monkeypatch.setattr(Residual, "eliminate", lambda self, mono: Q.one)
     with pytest.raises(InternalInvariantViolation, match="failed to decrease"):
         run(*golden_pair(Q))
+
+
+# -- sparse exponents: operands built on demand ------------------------------------
+
+
+def count_products(monkeypatch):
+    """Wrap UniPoly.__mul__; the returned list grows by one per product."""
+    calls = []
+    original = UniPoly.__mul__
+
+    def counted(self, other):
+        calls.append(None)
+        return original(self, other)
+
+    monkeypatch.setattr(UniPoly, "__mul__", counted)
+    return calls
+
+
+FIELDS = [pytest.param(Q, id="q"), pytest.param(prime_field(10007), id="fp10007")]
+
+
+@pytest.mark.parametrize("field", FIELDS)
+@pytest.mark.parametrize("n, m", [(2, 20001), (1, 100000)])
+def test_sparse_exponent_costs_products_per_event_not_per_power(monkeypatch, field, n, m):
+    # one event with f^m: square-and-multiply from the cached powers, where
+    # a walk over every power below m would take m products
+    products = count_products(monkeypatch)
+    result = run(z_pow(field, n), z_pow(field, m))
+    assert len(products) <= 64
+    assert len(result.trace) == 1
+    assert result.relation == L(field, {(0, n): 1, (m, 0): -1})
+
+
+@pytest.mark.parametrize("field", FIELDS)
+def test_composed_sparse_pair_relation_substitutes_to_zero(monkeypatch, field):
+    f, g = poly(field, 1, 1) ** 2, poly(field, 1, 1) ** 401
+    products = count_products(monkeypatch)
+    result = run(f, g)
+    assert len(products) <= 64
+    assert result.relation == L(field, {(0, 2): 1, (401, 0): -1})
+    assert not substitute(result.relation, f, g)
