@@ -18,7 +18,9 @@ strided byte copies) beside it.  The image is unpacked once, when the
 step ends.  The symbolic side is formed once per step:
 the coefficients of a step's monomials are collected under their g-part G
 (the product of chain-element powers), and the residual is
-g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part.
+g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part,
+added up as one integer sum over the lcm of the products' denominators
+with one canonical scalar per output term (`laurent.sum_of_products`).
 When the residual of a step vanishes, the symbolic residual *is* the monic
 irreducible polynomial P with P(f(z), g(z)) = 0.
 
@@ -44,7 +46,7 @@ from .errors import (
     NotDivisible,
     WrongCharacteristic,
 )
-from .laurent import Laurent2
+from .laurent import Laurent2, sum_of_products
 from .unipoly import FImage, Pack, UniPoly, _pack, _unpack, slot_width, top_digit, widen
 
 
@@ -416,10 +418,10 @@ def reduce_step(chain, s, max_reductions=None):
                 f"{field.name()}, f = {chain.f.render()}, "
                 f"g0 image = {chain.steps[0].image!r}"
             )
-    r_sym = top_sym * step.symbolic
-    for gexps, coeffs in by_gpart.items():
-        in_f = Laurent2(field, {(e, 0): k for e, k in coeffs.items()})
-        r_sym = r_sym - chain._gpart(gexps)[0] * in_f
+    r_sym = sum_of_products(field, [(top_sym.terms, step.symbolic.terms)] + [
+        (chain._gpart(gexps)[0].terms, {(e, 0): -k for e, k in coeffs.items()})
+        for gexps, coeffs in by_gpart.items()
+    ])
     if r.value:
         return NewChainElement(r_sym, r.image(), events)
     return Relation(r_sym, events)

@@ -9,14 +9,26 @@ characteristic zero.
 
 The module also holds the one sparse kernel on raw {(i, j): coeff} dicts
 (sum, difference, product, exact division) that Laurent2, the oracle's
-BivarPoly and its fraction-free determinant all use.
+BivarPoly and the tests' fraction-free determinant use.  A product of
+operands that are dense on their (f, g) grid goes instead through the one
+K[z] kernel, `unipoly._kronecker`: each operand is laid out on a grid whose
+rows, one per power of g, are as wide as the product's f-span, so that one
+big-integer product yields every coefficient (Kronecker substitution in two
+variables; von zur Gathen and Gerhard, Modern Computer Algebra, 8.4).  It
+does so exactly when the three grids hold no more slots than the product
+has term pairs; sparse operands spread over wide f-ranges keep the dict
+loop `mul_terms`.  Over Q both work on integer numerators over one
+denominator, and `sum_of_products` adds several products in one integer
+sum, with one canonical scalar per output term.
 """
 
+import math
 from fractions import Fraction
 from functools import total_ordering
 
 from .errors import FieldMismatch, ZeroElement
 from .scalar import clear_denominators, power
+from .unipoly import _kronecker
 
 NEG_INF = float("-inf")
 INF = float("inf")
@@ -64,6 +76,88 @@ def mul_terms(a, b, reduce=None):
         if v:
             out[k] = v
     return out
+
+
+def convolve(a, b):
+    """The product of two nonempty dicts of int coefficients, zero terms dropped.
+
+    One Kronecker product on the (f, g) grid when the grids of a, b and the
+    product hold no more slots than the len(a) * len(b) term pairs, else
+    `mul_terms`.  No grid has fewer slots than its terms, so with fewer than
+    2 * (len(a) + len(b)) - 1 term pairs the shapes need not be read.
+    """
+    pairs = len(a) * len(b)
+    if pairs >= 2 * (len(a) + len(b)) - 1:
+        fa0, fa1, ga0, ga1 = _box(a)
+        fb0, fb1, gb0, gb1 = _box(b)
+        w = fa1 - fa0 + fb1 - fb0 + 1  # the product's f-span: rows never overlap
+        size_a = (ga1 - ga0) * w + fa1 - fa0 + 1
+        size_b = (gb1 - gb0) * w + fb1 - fb0 + 1
+        if 2 * (size_a + size_b) - 1 <= pairs:
+            va, vb = [0] * size_a, [0] * size_b
+            for (i, j), c in a.items():
+                va[i - fa0 + (j - ga0) * w] = c
+            for (i, j), c in b.items():
+                vb[i - fb0 + (j - gb0) * w] = c
+            f0, g0 = fa0 + fb0, ga0 + gb0
+            return {
+                (k % w + f0, k // w + g0): c
+                for k, c in enumerate(_kronecker(va, vb))
+                if c
+            }
+    return mul_terms(a, b)
+
+
+def _box(terms):
+    """(min fexp, max fexp, min gexp, max gexp) of a nonempty term dict."""
+    fs = [i for i, _ in terms]
+    gs = [j for _, j in terms]
+    return min(fs), max(fs), min(gs), max(gs)
+
+
+def _int_product(field, a, b):
+    """(ints, den): a * b == ints / den for canonical term dicts a and b.
+
+    Over Q the operands are scaled to integer numerators first; over F_p
+    den is 1 and the ints are not reduced.
+    """
+    if not a or not b:
+        return {}, 1
+    if field.p is not None:
+        return convolve(a, b), 1
+    avals, da = clear_denominators(a.values())
+    bvals, db = clear_denominators(b.values())
+    return convolve(dict(zip(a, avals)), dict(zip(b, bvals))), da * db
+
+
+def _canonical(field, ints, den):
+    """{key: ints[key] / den} as canonical scalars, zeros dropped."""
+    p = field.p
+    if p is None:
+        return {k: Fraction(v, den) for k, v in ints.items() if v}
+    out = {}
+    for k, v in ints.items():
+        v %= p
+        if v:
+            out[k] = v
+    return out
+
+
+def sum_of_products(field, pairs):
+    """The sum of a * b over the (a, b) term dicts in `pairs`, as a Laurent2.
+
+    The products' integer terms are scaled to the lcm of their denominators
+    and added in one int dict; each output term becomes one canonical
+    scalar at the end.
+    """
+    prods = [_int_product(field, a, b) for a, b in pairs]
+    den = math.lcm(*(d for _, d in prods))
+    acc = {}
+    for ints, d in prods:
+        m = den // d
+        for k, v in ints.items():
+            acc[k] = acc.get(k, 0) + v * m
+    return Laurent2(field, _canonical(field, acc, den))
 
 
 def exact_div_terms(num, den, coeff_div, reduce=None):
@@ -195,14 +289,7 @@ class Laurent2:
     def __mul__(self, other):
         self._check_field(other)
         field = self.field
-        if field.p is not None:
-            return type(self)(field, mul_terms(self.terms, other.terms, field.reduce))
-        # over Q: convolve integer numerators, divide the common denominator out once
-        avals, da = clear_denominators(self.terms.values())
-        bvals, db = clear_denominators(other.terms.values())
-        acc = mul_terms(dict(zip(self.terms, avals)), dict(zip(other.terms, bvals)))
-        den = da * db
-        return type(self)(field, {k: Fraction(v, den) for k, v in acc.items()})
+        return type(self)(field, _canonical(field, *_int_product(field, self.terms, other.terms)))
 
     def __pow__(self, e):
         return power(self, e, type(self).one(self.field))

@@ -48,7 +48,7 @@ from .errors import (
 )
 from .laurent import Laurent2, exact_div_terms
 from .scalar import clear_denominators, prime_field, word_primes
-from .unipoly import FImage, UniPoly, _pack, _unpack
+from .unipoly import FImage, UniPoly, _pack, _unpack, slot_width
 
 DEFAULT_DEGREE_CAP = 40
 # the values of f at which minimality_certificate tries the Krylov rank first
@@ -109,8 +109,10 @@ def substitute(relation, f, g):
     themselves), so Q's coefficients are the signed base-2^(8w) digits of
     the value (Kronecker substitution; von zur Gathen and Gerhard, Modern
     Computer Algebra, 8.4).  The image is Q / (a^E b^J D) / f^L.  Over F_p
-    the c_ij, F and G are residues, a = b = D = 1, and the digits are
-    reduced mod p.
+    the c_ij, F and G are residues and a = b = D = 1; every product and
+    every Horner row is cut back to residues (`_evaluate_mod`), so w stays
+    fixed by p and the size of Q, where the bound above would grow like a
+    power of p in E + J.
     """
     if relation.field != f.field or relation.field != g.field:
         raise FieldMismatch("relation and polynomials over different fields")
@@ -128,13 +130,18 @@ def substitute(relation, f, g):
     by_g = [[] for _ in range(J + 1)]
     for (i, j), c in zip(terms, ints):
         by_g[j].append((i + lift, c))
-    bound = _evaluate(
-        [[(i, abs(c)) for i, c in row] for row in by_g],
-        sum(map(abs, F)), sum(map(abs, G)), a, b, E,
-    )
-    width = max(bound, *map(abs, F), *map(abs, G)).bit_length() // 8 + 1
-    value = _evaluate(by_g, _pack(F, width), _pack(G, width), a, b, E)
     size = E * (len(F) - 1) + J * (len(G) - 1) + 1
+    p = field.p
+    if p is None:
+        bound = _evaluate(
+            [[(i, abs(c)) for i, c in row] for row in by_g],
+            sum(map(abs, F)), sum(map(abs, G)), a, b, E,
+        )
+        width = max(bound, *map(abs, F), *map(abs, G)).bit_length() // 8 + 1
+        value = _evaluate(by_g, _pack(F, width), _pack(G, width), a, b, E)
+    else:
+        width = slot_width(2 * (p - 1) ** 2 * size)
+        value = _evaluate_mod(by_g, _pack(F, width), _pack(G, width), p, width)
     num = UniPoly._normal(field, _unpack(value, size, width), a**E * b**J * D)
     return FImage(num, lift, f)
 
@@ -151,6 +158,42 @@ def _evaluate(by_g, x, y, a, b, E):
     for row in reversed(by_g):
         acc = acc * y + b_pow * sum(c * a ** (E - i) * x_pows[i] for i, c in row)
         b_pow *= b
+    return acc
+
+
+def _evaluate_mod(by_g, x, y, p, width):
+    """`_evaluate` over F_p, where a = b = 1, with every product and every
+    Horner row cut back to residues; x and y are packed residues.
+
+    A product of two residue vectors, or a Horner row (one such product
+    plus at most E + 1 multiples c * x^i), has digits below
+    2 * (p - 1)^2 * size, size the slot count of the result, which
+    `width`-byte slots hold; so the slots never grow with the exponents.
+    """
+    bits = 8 * width
+
+    def cut(v):
+        return _pack([c % p for c in _unpack(v, v.bit_length() // bits + 1, width)], width)
+
+    def power(u, e):
+        """u^e by square-and-multiply, e >= 1."""
+        r = None
+        while True:
+            if e & 1:
+                r = u if r is None else cut(r * u)
+            e >>= 1
+            if not e:
+                return r
+            u = cut(u * u)
+
+    x_pows, prev = {0: 1}, 0
+    for i in sorted({i for row in by_g for i, _ in row} - {0}):
+        gap = power(x, i - prev)
+        x_pows[i] = cut(x_pows[prev] * gap) if prev else gap
+        prev = i
+    acc = 0
+    for row in reversed(by_g):
+        acc = cut(acc * y + sum(c * x_pows[i] for i, c in row))
     return acc
 
 

@@ -1,6 +1,6 @@
 """Shared random generators for the test suites (all seeded by the caller)."""
 
-from polydep import Laurent2, UniPoly
+from polydep import Laurent2, UniPoly, rationals
 
 
 def random_poly(rng, field, degree, monic=False):
@@ -59,6 +59,24 @@ def automorphic_pair(rng, field, max_degree=64):
             if rng.random() < 0.5:
                 u, v = v, u
             return u, v
+
+
+def automorphic_pair_of_moves(rng, moves, base_first=True):
+    """A pair over Q with Q[f, g] = Q[z], of degrees prod(moves) and prod(moves[:-1]).
+
+    Starts from (z, c), c in [-3, 3], and applies (u, v) -> (v + r(u), u)
+    with r of degree d for each d in `moves`, coefficients in [-2, 2] and a
+    nonzero leading one; f is the larger element when `base_first` is set.
+    """
+    field = rationals()
+    u, v = UniPoly.z(field), UniPoly.make(field, [rng.randint(-3, 3)])
+    for d in moves:
+        coeffs = [rng.randint(-2, 2) for _ in range(d)] + [rng.choice((-2, -1, 1, 2))]
+        acc = UniPoly.zero(field)
+        for c in reversed(coeffs):
+            acc = acc * u + UniPoly.make(field, [c])
+        u, v = v + acc, u
+    return (u, v) if base_first else (v, u)
 
 
 def random_laurent(rng, field, max_terms=6, fspan=(-4, 5), gspan=(0, 5)):

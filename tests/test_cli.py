@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import json
 import random
 import sys
@@ -10,7 +11,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from polydep import Laurent2, UniPoly, engine, parse_field, prime_field, rationals, semigroup
+from polydep import (
+    Laurent2, UniPoly, engine, laurent, parse_field, prime_field, rationals, semigroup,
+)
 from polydep.cli import (
     MAX_ADMISSIBLE_N,
     MAX_BATCH_LINE,
@@ -24,7 +27,7 @@ from polydep.errors import (
     PolydepError,
     PolySyntaxError,
 )
-from gen import random_poly
+from gen import automorphic_pair_of_moves, random_poly
 
 Q = rationals()
 F2 = prime_field(2)
@@ -219,6 +222,32 @@ def test_depend_json_trace_golden(capsys, name):
     code, out, err = run_cli(capsys, "depend", "--json", "--trace", "--field", field, "--", f, g)
     assert (code, err) == (0, "")
     assert out == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+# sha256 of `depend --json --trace` on four automorphic pairs over Q with the
+# benchmark's automorphic move degrees (and which element is f), each built
+# from random.Random(19); unlike the reports above, their symbolic products
+# are dense enough for the grid product of `laurent.convolve`
+AUTOMORPHIC_REPORT_SHA256 = {
+    ((4, 3, 2, 4), True): "581feac84eb8db6bcbd8b016d6175af84406c3396a8e9d40f2a5dbf91db88aa7",
+    ((3, 3, 3, 3), False): "b314e8863844964fa1d5206c2844e085832bf6b38ff62a8014333dcc9e092eaf",
+    ((2, 2, 2, 2, 3), True): "92b6722d05e9778a00bdb6a700d50a7842922570c3413318fb6b8265065292cb",
+    ((4, 4, 4), False): "9a8bfe951627996350d63ed7ee841ca0a8895f0316c7ba6f2d6837587106c060",
+}
+
+
+@pytest.mark.parametrize(
+    "moves, base_first", list(AUTOMORPHIC_REPORT_SHA256), ids=lambda v: str(v).replace(" ", "")
+)
+def test_depend_json_trace_hash_dense_automorphic(capsys, monkeypatch, moves, base_first):
+    f, g = automorphic_pair_of_moves(random.Random(19), moves, base_first)
+    grid = []
+    kronecker = laurent._kronecker
+    monkeypatch.setattr(laurent, "_kronecker", lambda a, b: grid.append(1) or kronecker(a, b))
+    code, out, err = run_cli(capsys, "depend", "--json", "--trace", "--", f.render(), g.render())
+    assert (code, err) == (0, "")
+    assert grid, "no product took the grid"
+    assert hashlib.sha256(out.encode()).hexdigest() == AUTOMORPHIC_REPORT_SHA256[moves, base_first]
 
 
 # one small request per command, recorded over Q and over F_3 in text and

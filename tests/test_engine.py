@@ -20,7 +20,7 @@ from polydep import (
     run,
     substitute,
 )
-from polydep import engine
+from polydep import engine, laurent
 from polydep.engine import Residual
 from polydep.unipoly import _unpack
 from polydep.errors import (
@@ -30,7 +30,7 @@ from polydep.errors import (
     NotDivisible,
     WrongCharacteristic,
 )
-from gen import random_pair, random_poly
+from gen import automorphic_pair_of_moves, random_pair, random_poly
 
 Q = rationals()
 F2 = prime_field(2)
@@ -546,3 +546,31 @@ def test_composed_sparse_pair_relation_substitutes_to_zero(monkeypatch, field):
     assert len(products) <= 64
     assert result.relation == L(field, {(0, 2): 1, (401, 0): -1})
     assert not substitute(result.relation, f, g)
+
+
+def test_dense_automorphic_pair_takes_the_grid_product(monkeypatch):
+    # on an automorphic pair the symbolic products are dense on their
+    # (f, g) grid: fewer than 1% of their term pairs go through the dict loop
+    f, g = automorphic_pair_of_moves(random.Random(19), (4, 3, 3, 3))
+    mul_terms, convolve = laurent.mul_terms, laurent.convolve
+    pairs = {"all": 0, "dict": 0}
+
+    def counted_convolve(a, b):
+        pairs["all"] += len(a) * len(b)
+        return convolve(a, b)
+
+    def counted_mul_terms(a, b, reduce=None):
+        pairs["dict"] += len(a) * len(b)
+        return mul_terms(a, b, reduce)
+
+    monkeypatch.setattr(laurent, "convolve", counted_convolve)
+    monkeypatch.setattr(laurent, "mul_terms", counted_mul_terms)
+    result = run(f, g)
+    assert pairs["dict"] < 0.01 * pairs["all"]
+    # the dict loop alone builds the same relation and chain
+    monkeypatch.setattr(laurent, "convolve", mul_terms)
+    reference = run(f, g)
+    assert result.relation == reference.relation
+    assert [(st.symbolic, st.image) for st in result.chain] == [
+        (st.symbolic, st.image) for st in reference.chain
+    ]

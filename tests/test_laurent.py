@@ -1,9 +1,12 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from polydep import GapValue, Laurent2, prime_field, rationals
+from polydep import GapValue, Laurent2, laurent, prime_field, rationals
 from polydep.errors import ZeroElement
+from polydep.laurent import mul_terms
 from gen import random_laurent, random_monic_laurent
 
 Q = rationals()
@@ -159,3 +162,76 @@ def test_mul_commutative_associative():
         c = random_laurent(rng, field, max_terms=4)
         assert a * b == b * a
         assert (a * b) * c == a * (b * c)
+
+
+# -- the product: grid or dict loop ------------------------------------------------
+
+
+@st.composite
+def operand_pairs(draw):
+    """(field, a, b) over Q (fractional coefficients), F_2 or F_(2^31-1).
+
+    Each operand has one term, or fills part of a small (f, g) box, which
+    the grid product takes, or is spread over a wide f-range, which the
+    dict loop takes; f-exponents may be negative.
+    """
+    field = draw(st.sampled_from([Q, F2, prime_field(2**31 - 1)]))
+    if field.p is None:
+        values = st.fractions(min_value=-9, max_value=9, max_denominator=7).filter(bool)
+    else:
+        values = st.integers(1, field.p - 1)
+
+    def operand():
+        shape = draw(st.sampled_from(["one term", "box", "box", "wide"]))
+        if shape == "one term":
+            keys = [(draw(st.integers(-9, 9)), draw(st.integers(0, 4)))]
+        elif shape == "box":
+            f0, g0 = draw(st.integers(-6, 3)), draw(st.integers(0, 2))
+            box = [(f0 + i, g0 + j) for i in range(draw(st.integers(4, 7)))
+                   for j in range(draw(st.integers(2, 4)))]
+            holes = draw(st.sets(st.sampled_from(box), max_size=len(box) // 5))
+            keys = [k for k in box if k not in holes]
+        else:
+            keys = draw(st.lists(st.tuples(st.integers(-60, 60), st.integers(0, 5)),
+                                 min_size=2, max_size=8))
+        return Laurent2.make(field, {k: draw(values) for k in keys})
+
+    return field, operand(), operand()
+
+
+@settings(max_examples=300, deadline=None)
+@given(operand_pairs())
+def test_mul_equals_dict_convolution(case):
+    field, a, b = case
+    product = a * b
+    assert product == Laurent2(field, mul_terms(a.terms, b.terms, field.reduce))
+    assert all(type(c) is type(field.one) for c in product.terms.values())
+
+
+def test_mul_cases_reach_both_kernels(monkeypatch):
+    # the strategy above sends products both ways, in every field, with
+    # one-term operands, fractions and negative f-exponents among them
+    grid = []
+    kronecker = laurent._kronecker
+    monkeypatch.setattr(laurent, "_kronecker", lambda a, b: grid.append(1) or kronecker(a, b))
+    seen = set()
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(operand_pairs())
+    def collect(case):
+        field, a, b = case
+        before = len(grid)
+        a * b
+        kernel = "grid" if len(grid) > before else "dict"
+        seen.add((kernel, field.name()))
+        if min(len(a.terms), len(b.terms)) == 1:
+            seen.add("one-term operand")
+        if any(fe < 0 for fe, _ in a.terms) and kernel == "grid":
+            seen.add("negative f-exponent on the grid")
+        if field.p is None and any(c.denominator > 1 for c in a.terms.values()):
+            seen.add("fraction")
+
+    collect()
+    assert seen == {
+        (kernel, field) for kernel in ("grid", "dict") for field in ("q", "fp:2", "fp:2147483647")
+    } | {"one-term operand", "negative f-exponent on the grid", "fraction"}

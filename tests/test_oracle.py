@@ -111,30 +111,63 @@ def substitutions(draw):
     return Laurent2.make(field, terms), polys[0], polys[1]
 
 
+P40 = 1000000000039  # a 40-bit prime
+
+
+@st.composite
+def large_substitutions(draw):
+    """(element, f, g) over F_(2^61-1) or a 40-bit prime field, with deg f
+    up to 16 and deg g up to 24, and f-exponents spread over -6..30, so
+    that they leave gaps."""
+    field = draw(st.sampled_from([WORD_FIELD, prime_field(P40)]))
+    values = st.integers(0, field.p - 1)
+    polys = []
+    for top in (16, 24):
+        degree = draw(st.integers(1, top))
+        lead = draw(st.integers(1, field.p - 1))
+        polys.append(UniPoly.make(field, draw(st.lists(values, min_size=degree, max_size=degree)) + [lead]))
+    terms = draw(st.dictionaries(st.tuples(st.integers(-6, 30), st.integers(0, 6)), values, max_size=8))
+    return Laurent2.make(field, terms), polys[0], polys[1]
+
+
+SUBSTITUTION_CASES = st.one_of(substitutions(), large_substitutions())
+
+
 @settings(max_examples=200, deadline=None)
-@given(substitutions())
+@given(SUBSTITUTION_CASES)
 def test_substitute_equals_horner_reference(case):
     element, f, g = case
     assert substitute(element, f, g) == horner_substitute(element, f, g)
 
 
 def test_substitute_reference_cases_reach_the_corners():
-    # the strategy above draws nonzero images, negative f-exponents and large primes
+    # the strategies above draw nonzero images, negative f-exponents, gaps
+    # between f-exponents, large primes and (deg f, deg g) past (6, 6)
     seen = set()
 
-    @settings(max_examples=200, deadline=None)
-    @given(substitutions())
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(SUBSTITUTION_CASES)
     def collect(case):
         element, f, g = case
         if substitute(element, f, g):
             seen.add("nonzero image")
         if not element.is_polynomial():
             seen.add("negative f-exponent")
+        fexps = sorted({i for i, _ in element.terms})
+        if any(b - a > 1 for a, b in zip(fexps, fexps[1:])):
+            seen.add("gap in f-exponents")
         if f.field == WORD_FIELD:
             seen.add("F_(2^61-1)")
+        if f.field.p == P40:
+            seen.add("40-bit prime")
+        if f.degree > 6 and g.degree > 6:
+            seen.add("large degrees")
 
     collect()
-    assert seen == {"nonzero image", "negative f-exponent", "F_(2^61-1)"}
+    assert seen == {
+        "nonzero image", "negative f-exponent", "gap in f-exponents", "F_(2^61-1)",
+        "40-bit prime", "large degrees",
+    }
 
 
 def test_substitute_equals_horner_reference_on_engine_output():
