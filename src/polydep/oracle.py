@@ -13,30 +13,34 @@ integer vectors and a, b their denominators, n = deg f and m = deg g.  Then
 Res_z(f - x, g - y) = S(x, y) / (a^m b^n) with S = Res_z(F - a*x, G - b*y),
 and for each x0, S(x0, y) = (-1)^n lc(F)^m chi(b*y), where chi is the
 characteristic polynomial of multiplication by G in K[z]/(F - a*x0).  chi
-comes from a Hessenberg reduction (Cohen, A Course in Computational
-Algebraic Number Theory, Alg. 2.2.9), and S, of x-degree at most m, from
-Newton interpolation at x0 = 0..m.  Over F_p with p > m this is one pass
-mod p.  Over Q it is one pass modulo a product M of primes below 2^61 that
-passes twice a bound on |S|'s coefficients, and a symmetric lift gives S
-exactly: by the Chinese remainder theorem Z/M is a product of fields, so
-the pass computes S modulo every prime at once (von zur Gathen and Gerhard,
-Modern Computer Algebra, ch. 5-6).  A Hessenberg pivot that is nonzero
-modulo M but not a unit drops the primes that divide it, and the pass runs
-again modulo a new product.  Over F_p with p <= m there are too few
-interpolation points mod p; S is an integer polynomial in the coefficients
-of F and G, so it is computed over Z as over Q, from their residues in
-[0, p) with a = b = 1, and reduced mod p.  Fraction-free (Bareiss)
-elimination of the symbolic Sylvester matrix is the tests' reference for
-the resultant, in `tests/reference.py`.
+comes from the power sums Tr(G^k), k <= n, by Newton's identities (Le
+Verrier's method): Tr(G^k) is the dot product of the Krylov vector
+G^k mod (F - a*x0) with the power sums of the roots of F - a*x0, which
+do not depend on x0.  S, of x-degree at most m, comes from Newton
+interpolation at x0 = 0..m.  Newton's identities divide by 1..n and the
+interpolation by the differences of the points, so over F_p with
+p > max(n, m) this is one pass mod p.  Over Q it is one pass modulo a
+product M of primes below 2^61 that passes twice a bound on |S|'s
+coefficients, and a symmetric lift gives S exactly: by the Chinese
+remainder theorem Z/M is a product of fields, so the pass computes S
+modulo every prime at once (von zur Gathen and Gerhard, Modern Computer
+Algebra, ch. 5-6).  Over F_p with p <= max(n, m) there are too few
+interpolation points or too few units mod p; S is an integer polynomial
+in the coefficients of F and G, so it is computed over Z as over Q, from
+their residues in [0, p) with a = b = 1, and reduced mod p.
+Fraction-free (Bareiss) elimination of the symbolic Sylvester matrix is
+the tests' reference for the resultant, in `tests/reference.py`.
 
 The minimality certificate specialises f to a few values x0 modulo a prime
 q and finds the rank of the powers of g in K[z]/(f - x0) there, a Krylov
-sequence (Wiedemann, 1986); full rank at one point proves independence
-over K(f).  Only when every point loses rank, as it must on a False
-answer, does it eliminate the f^i * g^j vectors exactly over K.
+sequence (Wiedemann, 1986) from the resultant's kernel; full rank at one
+point proves independence over K(f).  Only when every point loses rank,
+as it must on a False answer, does it eliminate the f^i * g^j vectors
+exactly over K.
 """
 
 import math
+from operator import mul
 
 from .errors import (
     ConstantInput,
@@ -216,9 +220,9 @@ def sylvester_resultant(f, g):
     n, m = f.degree, g.degree
     keys = [(i, j) for i in range(m + 1) for j in range(n + 1)]
     F, a, G, b = f.nums, f.den, g.nums, g.den
-    if p is not None and p > m:
+    if p is not None and p > max(n, m):
         values = _scaled_resultant_mod(F, a, G, b, p)
-    else:  # over F_p with p <= m, F and G are the residues in [0, p), and a = b = 1
+    else:  # over F_p with p <= max(n, m), F and G are the residues in [0, p), and a = b = 1
         values = _scaled_resultant(F, a, G, b)
     inv = field.inv(field.reduce(a**m * b**n))
     return BivarPoly(field, {key: field.reduce(c * inv) for key, c in zip(keys, values) if c})
@@ -229,25 +233,18 @@ def _scaled_resultant(F, a, G, b):
 
     M is a product of word primes that divide none of lc(F), a and b, drawn
     until M passes twice `_resultant_bound`; S is the symmetric lift of one
-    evaluation pass modulo M.  Z/M is a product of fields, so that pass does
-    the work of one pass per prime as long as every Hessenberg pivot is a
-    unit modulo M.  A nonzero pivot that is not a unit is zero modulo some of
-    the primes; `_charpoly` raises, those primes are dropped, more are drawn
-    until M passes the bound again, and the pass runs again.
+    evaluation pass modulo M.  Z/M is a product of fields, and the pass
+    inverts only lc(F), the integers 1..deg F and the differences of the
+    points, all units modulo M, so it does the work of one pass per prime.
     """
     bound = 2 * _resultant_bound(F, a, G, b)
     primes = (q for q in word_primes() if F[-1] % q and a % q and b % q)
     modulus = 1
-    while True:
-        while modulus <= bound:
-            modulus *= next(primes)
-        try:
-            values = _scaled_resultant_mod(F, a, G, b, modulus)
-        except _NonUnitPivot as exc:
-            modulus //= math.gcd(exc.pivot, modulus)
-        else:
-            half = modulus // 2
-            return [v - modulus if v > half else v for v in values]
+    while modulus <= bound:
+        modulus *= next(primes)
+    values = _scaled_resultant_mod(F, a, G, b, modulus)
+    half = modulus // 2
+    return [v - modulus if v > half else v for v in values]
 
 
 def _resultant_bound(F, a, G, b):
@@ -271,19 +268,21 @@ def _scaled_resultant_mod(F, a, G, b, q):
     """S = Res_z(F - a*x, G - b*y) mod q, for integer vectors F and G.
 
     Returns the coefficients of x^i y^j for i <= deg G and j <= deg F, i
-    outer.  q is a prime or a product of distinct primes, each above deg G,
-    so that the differences of x0 = 0..deg G are units, and none dividing
-    lc(F).
+    outer.  q is a prime or a product of distinct primes, each above deg F
+    and deg G, so that 1..deg F (Newton's identities) and the differences
+    of x0 = 0..deg G are units, and none dividing lc(F).
     """
     n, m = len(F) - 1, len(G) - 1
     inv_lc = pow(F[-1], -1, q)
     monic = [c * inv_lc % q for c in F]
+    traces = _power_sums(monic, q)
+    inverses = [pow(k, -1, q) for k in range(1, n + 1)]
     lc_factor = (-1) ** n * pow(F[-1], m, q)
     y_scale = [lc_factor * pow(b, j, q) % q for j in range(n + 1)]  # chi(b*y), times the factor
     at_x0 = []
     for x0 in range(m + 1):
         monic[0] = (F[0] - a * x0) * inv_lc % q
-        chi = _charpoly(_multiplication_rows(G, monic, q), q)
+        chi = _charpoly(_multiplication_rows(G, monic, q), traces, inverses, q)
         at_x0.append([c * s % q for c, s in zip(chi, y_scale)])
     by_y = [_interpolate([row[j] for row in at_x0], q) for j in range(n + 1)]
     return [by_y[j][i] for i in range(m + 1) for j in range(n + 1)]
@@ -309,66 +308,47 @@ def _multiplication_rows(G, A, q):
     return rows
 
 
-class _NonUnitPivot(Exception):
-    """A Hessenberg pivot that is nonzero but not invertible modulo `_charpoly`'s q."""
+def _power_sums(A, q):
+    """Tr(z^j) in K[z]/(A) mod q for j < deg A, A monic: the power sums of its roots.
 
-    def __init__(self, pivot):
-        super().__init__(pivot)
-        self.pivot = pivot
-
-
-def _charpoly(rows, q):
-    """det(t*I - M) mod q, low to high, for M given by its rows (Cohen, Alg. 2.2.9).
-
-    Similarity transforms bring M to upper Hessenberg form H; then p_0 = 1,
-    p_(k+1) = (t - H[k][k]) p_k minus the sum over i < k of
-    H[i][k] * H[i+1][i] * ... * H[k][k-1] * p_i, and p_size is the answer.
-    Modifies `rows`.  Raises `_NonUnitPivot` on a pivot that is nonzero but
-    not a unit mod q, which only a composite q has.
+    With n = deg A, s_0 = n and, by Newton's identities,
+    s_j = -(j * A[n-j] + the sum over 0 < i < j of A[n-i] * s_(j-i)),
+    which never reads A[0]: every A - a*x0 has the same s_j.
     """
-    H = rows
-    size = len(H)
-    for k in range(1, size - 1):
-        piv = next((i for i in range(k, size) if H[i][k - 1]), None)
-        if piv is None:
-            continue
-        if piv != k:
-            H[k], H[piv] = H[piv], H[k]
-            for row in H:
-                row[k], row[piv] = row[piv], row[k]
-        try:
-            inv = pow(H[k][k - 1], -1, q)
-        except ValueError:
-            raise _NonUnitPivot(H[k][k - 1]) from None
-        hk = H[k]
-        for i in range(k + 1, size):
-            u = H[i][k - 1] * inv % q
-            if u:
-                H[i] = [(x - u * y) % q for x, y in zip(H[i], hk)]
-                for row in H:
-                    row[k] = (row[k] + u * row[i]) % q
-    polys = [[1]]
-    for k in range(size):
-        new = [0] + polys[k]
-        h = H[k][k]
-        for idx, c in enumerate(polys[k]):
-            new[idx] -= h * c
-        chain = 1
-        for i in range(k - 1, -1, -1):
-            chain = chain * H[i + 1][i] % q
-            if not chain:
-                break
-            coef = H[i][k] * chain % q
-            if coef:
-                for idx, c in enumerate(polys[i]):
-                    new[idx] -= coef * c
-        polys.append([c % q for c in new])
-    return polys[size]
+    n = len(A) - 1
+    sums = [n % q]
+    for j in range(1, n):
+        acc = j * A[n - j]
+        for i in range(1, j):
+            acc += A[n - i] * sums[j - i]
+        sums.append(-acc % q)
+    return sums
+
+
+def _charpoly(rows, traces, inverses, q):
+    """det(t*I - M) mod q, low to high, for M the multiplication by G in
+    K[z]/(A) given by its rows (`_multiplication_rows`), by Le Verrier's method.
+
+    Row j, z^j * G mod A, dotted with `traces` (A's `_power_sums`) gives
+    Tr(z^j * G); the Krylov vector e_0 * M^k, G^k mod A, dotted with those
+    gives s_(k+1) = Tr(M^(k+1)).  With det(t*I - M) = the sum of c_k t^(n-k),
+    n = len(rows), Newton's identities read k * c_k = -(the sum over
+    0 < i <= k of c_(k-i) s_i); inverses[k - 1] is 1/k mod q.
+    """
+    n = len(rows)
+    row_traces = [sum(map(mul, row, traces)) % q for row in rows]
+    sums = [sum(map(mul, vec, row_traces)) % q for vec in _krylov(rows, n, q)]
+    chi = [1]
+    for k in range(1, n + 1):  # chi[j] * s_(k-j) for j < k
+        chi.append(-sum(map(mul, chi, sums[k - 1 :: -1])) * inverses[k - 1] % q)
+    chi.reverse()
+    return chi
 
 
 def _interpolate(values, q):
     """The coefficients, low to high, of the polynomial of degree < len(values)
-    with value values[x] at x = 0, 1, ... mod q; needs q >= len(values)."""
+    with value values[x] at x = 0, 1, ... mod q; needs every prime factor of
+    q to be at least len(values)."""
     c = list(values)
     size = len(c)
     for k in range(1, size):  # Newton's divided differences; points k apart
@@ -470,15 +450,32 @@ def _independent_at_a_point(f, g, k):
 
 
 def _krylov(rows, k, q):
-    """The vectors e_0 * M^j mod q, j < k, for M given by its rows."""
-    vec = [1] + [0] * (len(rows) - 1)
+    """The vectors e_0 * M^j mod q, j < k, for M given by its rows of residues.
+
+    e_0 * M is the first row.  Later steps pack each row into one integer of
+    unsigned `bits`-bit slots that hold a sum of len(rows) products of
+    residues (cut by shifts, cheaper than `unipoly._unpack`'s bytes at a few
+    dozen slots), so a step is one scalar times row product per entry, one
+    sum, and one shift, mask and % q per slot.
+    """
+    n = len(rows)
+    yield [1] + [0] * (n - 1)
+    if k < 2:
+        return
+    vec = rows[0]
     yield vec
-    for _ in range(k - 1):
-        acc = [0] * len(rows)
-        for c, row in zip(vec, rows):
-            if c:
-                acc = [x + c * y for x, y in zip(acc, row)]
-        vec = [x % q for x in acc]
+    bits = (n * (q - 1) ** 2).bit_length()
+    mask = (1 << bits) - 1
+    packed = []
+    for row in rows:
+        acc = 0
+        for c in reversed(row):
+            acc = acc << bits | c
+        packed.append(acc)
+    shifts = range(0, n * bits, bits)
+    for _ in range(k - 2):
+        acc = sum(map(mul, vec, packed))
+        vec = [(acc >> s & mask) % q for s in shifts]
         yield vec
 
 

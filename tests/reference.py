@@ -139,6 +139,65 @@ def det_fraction_free(matrix):
     return BivarPoly(field, {k: Fraction(v, scale) for k, v in det.items()})
 
 
+def hessenberg_charpoly(rows, q):
+    """det(t*I - M) mod q, low to high, for M given by its rows (Cohen, Alg. 2.2.9).
+
+    Similarity transforms bring M to upper Hessenberg form H; then p_0 = 1,
+    p_(k+1) = (t - H[k][k]) p_k minus the sum over i < k of
+    H[i][k] * H[i+1][i] * ... * H[k][k-1] * p_i, and p_size is the answer.
+    Modifies `rows`.  A pivot that is nonzero but not a unit mod q, which
+    only a composite q has, raises ValueError.
+    """
+    H = rows
+    size = len(H)
+    for k in range(1, size - 1):
+        piv = next((i for i in range(k, size) if H[i][k - 1]), None)
+        if piv is None:
+            continue
+        if piv != k:
+            H[k], H[piv] = H[piv], H[k]
+            for row in H:
+                row[k], row[piv] = row[piv], row[k]
+        inv = pow(H[k][k - 1], -1, q)
+        hk = H[k]
+        for i in range(k + 1, size):
+            u = H[i][k - 1] * inv % q
+            if u:
+                H[i] = [(x - u * y) % q for x, y in zip(H[i], hk)]
+                for row in H:
+                    row[k] = (row[k] + u * row[i]) % q
+    polys = [[1]]
+    for k in range(size):
+        new = [0] + polys[k]
+        h = H[k][k]
+        for idx, c in enumerate(polys[k]):
+            new[idx] -= h * c
+        chain = 1
+        for i in range(k - 1, -1, -1):
+            chain = chain * H[i + 1][i] % q
+            if not chain:
+                break
+            coef = H[i][k] * chain % q
+            if coef:
+                for idx, c in enumerate(polys[i]):
+                    new[idx] -= coef * c
+        polys.append([c % q for c in new])
+    return polys[size]
+
+
+def krylov_unpacked(rows, k, q):
+    """The vectors e_0 * M^j mod q, j < k, for M given by its rows, one entry at a time."""
+    vec = [1] + [0] * (len(rows) - 1)
+    yield vec
+    for _ in range(k - 1):
+        acc = [0] * len(rows)
+        for c, row in zip(vec, rows):
+            if c:
+                acc = [x + c * y for x, y in zip(acc, row)]
+        vec = [x % q for x in acc]
+        yield vec
+
+
 def det_cofactor(matrix):
     """Naive cofactor expansion; the oracle for the determinant oracle."""
     size = len(matrix)

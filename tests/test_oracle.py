@@ -1,5 +1,7 @@
+import math
 import random
 from fractions import Fraction
+from itertools import count, islice
 
 import pytest
 from hypothesis import assume, given, settings
@@ -26,7 +28,9 @@ from gen import random_pair
 from reference import (
     det_cofactor,
     det_fraction_free,
+    hessenberg_charpoly,
     horner_substitute,
+    krylov_unpacked,
     resultant_top_terms,
     sylvester_matrix,
 )
@@ -246,7 +250,7 @@ WORD = 2**61 - 1  # the first prime the resultant and the certificate use over Q
 @st.composite
 def resultant_inputs(draw):
     """(f, g) for every path of sylvester_resultant; deg f = 1 in about half."""
-    kind = draw(st.sampled_from(["q", "q-huge", "p31", "p-interpolates", "p-lifted"]))
+    kind = draw(st.sampled_from(["q", "q-huge", "p31", "p-interpolates", "p-lifted", "p-boundary"]))
     n = draw(st.sampled_from([1, 1, 1, 2, 3, 4, 5, 6]))
     m = draw(st.integers(1, 6))
     if kind == "q":
@@ -260,15 +264,21 @@ def resultant_inputs(draw):
         p = draw(st.sampled_from([2, 3, 5, 7]))
         m = p - 1
         field, values = prime_field(p), st.integers(0, p - 1)
-    else:  # p <= deg g: the residues lifted to Z
+    elif kind == "p-lifted":  # p <= deg g: the residues lifted to Z
         p = draw(st.sampled_from([2, 3, 5]))
         m = draw(st.integers(p, 6))
+        field, values = prime_field(p), st.integers(0, p - 1)
+    else:  # deg g < p <= deg f: points enough, but p | k for some k <= deg f
+        p = draw(st.sampled_from([2, 3, 5, 7]))
+        n, m = draw(st.integers(p, max(p, 6))), draw(st.integers(1, p - 1))
         field, values = prime_field(p), st.integers(0, p - 1)
     polys = []
     for degree in (n, m):
         lead = draw(values.filter(lambda c: field.element(c) != 0))
         rest = draw(st.lists(values, min_size=degree, max_size=degree))
         polys.append(UniPoly.make(field, rest + [lead]))
+    if kind == "p-boundary" and draw(st.booleans()):
+        polys.reverse()
     return tuple(polys)
 
 
@@ -357,7 +367,8 @@ def test_resultant_draws_more_than_forty_primes(monkeypatch):
 
 
 def test_resultant_small_p_lifts_to_word_primes(monkeypatch):
-    # too few interpolation points mod p: the residues are lifted to Z
+    # p <= max(deg f, deg g), too few interpolation points or too few units
+    # mod p: the residues are lifted to Z
     for p in (2, 3, 5):
         field = prime_field(p)
         rng = random.Random(p)
@@ -371,13 +382,17 @@ def test_resultant_small_p_lifts_to_word_primes(monkeypatch):
         g = poly(field, *[rng.randrange(p) for _ in range(p - 1)], 1)  # p = deg g + 1
         seen = primes_used(monkeypatch)
         assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
-        assert seen == [p]
+        if p > max(f.degree, g.degree):  # Newton's identities divide by 1..deg f
+            assert seen == [p]
+        else:
+            assert seen and all(q > 2**60 for q in seen)
 
 
-def test_resultant_reruns_when_a_pivot_is_not_a_unit(monkeypatch):
-    # with the primes below 1000 a Hessenberg pivot of this pair is zero
-    # modulo 991 but not modulo the product, and after the rerun one is zero
-    # modulo 997, so the pass runs three times
+def test_resultant_is_one_pass_modulo_small_primes(monkeypatch):
+    # with the primes below 1000 as the word primes, a Hessenberg reduction
+    # of this pair meets pivots that are zero modulo some of them but not
+    # modulo their product; the power sums invert only lc(F), 1..deg f and
+    # the differences of the points, units modulo every prime above 8
     small = [q for q in range(997, 22, -2) if is_prime(q)]
     monkeypatch.setattr(oracle, "word_primes", lambda: iter(small))
     moduli = []
@@ -390,7 +405,114 @@ def test_resultant_reruns_when_a_pivot_is_not_a_unit(monkeypatch):
     monkeypatch.setattr(oracle, "_scaled_resultant_mod", spy)
     f, g = random_pair(random.Random(416), Q, max_degree=8)
     assert sylvester_resultant(f, g) == det_fraction_free(sylvester_matrix(f, g))
-    assert len(moduli) > 1
+    assert len(moduli) == 1
+
+
+# -- the characteristic polynomial by power sums ------------------------------------
+
+THREE_WORDS = math.prod(islice(word_primes(), 3))
+
+
+def mul_mod(a, b, q):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return [c % q for c in out]
+
+
+def compose_mod(outer, w, q):
+    """outer(w) mod q, by Horner."""
+    acc = [outer[-1] % q]
+    for c in reversed(outer[:-1]):
+        acc = mul_mod(acc, w, q)
+        acc[0] = (acc[0] + c) % q
+    return acc
+
+
+@st.composite
+def charpoly_cases(draw):
+    """(A, G, q) for monic A: random, A = z^n - c with G = z^j (nilpotent at
+    c = 0), constant G, or A = A'(w) - x0 with G in K[w], whose Krylov space
+    is a proper subspace; q a word prime, a product of three word primes or
+    the smallest prime above max(deg A, deg G)."""
+    kind = draw(st.sampled_from(["random", "binomial", "constant", "composed"]))
+    e = draw(st.integers(2, 3)) if kind == "composed" else 1
+    n = e * draw(st.integers(1, 12 // e))
+    if kind == "constant":
+        m = 0
+    elif kind == "composed":
+        m = e * draw(st.integers(0, 12 // e))
+    else:
+        m = draw(st.integers(0, 2 * n))
+    modulus = draw(st.sampled_from(["word", "three words", "small"]))
+    if modulus == "word":
+        q = WORD
+    elif modulus == "three words":
+        q = THREE_WORDS
+    else:
+        q = next(p for p in count(max(n, m) + 1) if is_prime(p))
+    residues = st.integers(0, q - 1)
+
+    def vector(size):
+        return draw(st.lists(residues, min_size=size, max_size=size))
+
+    if kind == "binomial":
+        c = draw(st.sampled_from([0, draw(residues)]))
+        A, G = [-c % q] + [0] * (n - 1) + [1], [0] * m + [1]
+    elif kind == "composed":
+        w = vector(e) + [1]
+        A = compose_mod(vector(n // e) + [1], w, q)
+        A[0] = (A[0] - draw(residues)) % q
+        G = compose_mod(vector(m // e + 1), w, q)
+    else:
+        A, G = vector(n) + [1], vector(m + 1)
+    return A, G, q
+
+
+@settings(max_examples=250, deadline=None)
+@given(charpoly_cases())
+def test_charpoly_by_power_sums_equals_hessenberg(case):
+    A, G, q = case
+    n = len(A) - 1
+    traces = oracle._power_sums(A, q)
+    # Tr(z^j) is the trace of multiplication by z^j, whatever A[0] is
+    for j, s in enumerate(traces):
+        rows = oracle._multiplication_rows([0] * j + [1], A, q)
+        assert s == sum(row[i] for i, row in enumerate(rows)) % q
+    assert oracle._power_sums([A[0] + 1] + A[1:], q) == traces
+    inverses = [pow(k, -1, q) for k in range(1, n + 1)]
+    rows = oracle._multiplication_rows(G, A, q)
+    expected = hessenberg_charpoly([list(row) for row in rows], q)
+    assert oracle._charpoly(rows, traces, inverses, q) == expected
+
+
+def test_charpoly_cases_reach_the_corners():
+    seen = set()
+
+    @settings(max_examples=250, deadline=None, derandomize=True)
+    @given(charpoly_cases())
+    def collect(case):
+        A, G, q = case
+        rows = oracle._multiplication_rows(G, A, q)
+        vectors = list(krylov_unpacked(rows, len(rows) + 1, q))
+        if not any(vectors[-1]):
+            seen.add("nilpotent")
+        # ranked modulo q, or modulo its factor WORD
+        if not oracle._independent(vectors[:-1], prime_field(q if is_prime(q) else WORD)):
+            seen.add("proper Krylov space")
+        seen.add({WORD: "word prime", THREE_WORDS: "three word primes"}.get(q, "small prime"))
+
+    collect()
+    assert seen == {"nilpotent", "proper Krylov space", "word prime", "three word primes", "small prime"}
+
+
+@settings(max_examples=150, deadline=None)
+@given(charpoly_cases(), st.integers(1, 30))
+def test_packed_krylov_equals_the_unpacked_loop(case, k):
+    A, G, q = case
+    rows = oracle._multiplication_rows(G, A, q)
+    assert list(oracle._krylov(rows, k, q)) == list(krylov_unpacked(rows, k, q))
 
 
 # -- power identity ----------------------------------------------------------------
