@@ -360,16 +360,13 @@ _COMMANDS = {
 
 
 def _list_admissible(args):
-    max_n = args.max_n if args.max_n is not None else 30
-    if max_n > MAX_ADMISSIBLE_N:
-        raise PreconditionFailed(f"--max-n must be at most {MAX_ADMISSIBLE_N}")
-    sequences = semigroup.enumerate_two_admissible(max_n)
+    sequences = semigroup.enumerate_two_admissible(args.max_n)
     if args.json:
         emit_json(
             {
                 "schema_version": SCHEMA_VERSION,
                 "command": "admissible",
-                "max_n": max_n,
+                "max_n": args.max_n,
                 "sequences": [{"n": s.n, "ms": list(s.ms)} for s in sequences],
             }
         )
@@ -411,7 +408,7 @@ def build_parser():
             help="override the per-step reduction cap",
         )
         if name == "admissible":
-            cmd.add_argument("--max-n", type=int, default=None, help="bound on n")
+            cmd.add_argument("--max-n", type=int, default=30, help="bound on n")
             cmd.add_argument(
                 "--target", default=None, help="degree sequence n,m0[,m1,...] to realize"
             )
@@ -429,6 +426,10 @@ def _dispatch(args):
     command = args.command
     if command is None:
         raise PreconditionFailed("no command given (see --help)")
+    if args.max_steps is not None and args.max_steps < 0:
+        raise PreconditionFailed("--max-steps must be at least 0")
+    if not 0 <= getattr(args, "max_n", 0) <= MAX_ADMISSIBLE_N:  # only `admissible` has --max-n
+        raise PreconditionFailed(f"--max-n must be at most {MAX_ADMISSIBLE_N} and at least 0")
     if command == "admissible":
         if not args.target:
             if args.f is not None or args.g is not None:

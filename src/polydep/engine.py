@@ -47,7 +47,7 @@ from .errors import (
     WrongCharacteristic,
 )
 from .laurent import Laurent2, sum_of_products
-from .unipoly import FImage, Pack, UniPoly, _pack, _unpack, slot_width, top_digit, widen
+from .unipoly import FImage, Pack, UniPoly, _unpack, reduce_mod_p, slot_width, top_digit, widen
 
 
 @dataclass(frozen=True)
@@ -174,12 +174,6 @@ class Chain:
             raise InternalInvariantViolation("standard-monomial residual not divisible by n")
         return StdMonomial(rem // self.n, tuple(gexps))
 
-    def monomial_degree(self, mono):
-        """Recompute the z-degree of a standard monomial from chain data."""
-        return mono.fexp * self.n + sum(
-            j * st.m for j, st in zip(mono.gexps, self.steps)
-        )
-
     def _gpart(self, gexps):
         """g_0^j_0 ... g_s^j_s, cached: (symbolic, image, Pack of the
         image's num, z-leading coefficient).
@@ -211,13 +205,6 @@ class Chain:
         if e < 0:
             return FImage(img.num, img.fpow - e, self.f)
         return img
-
-    def monomial_symbolic(self, mono):
-        """The monomial expanded in K[f, f^-1, g]."""
-        sym = self._gpart(mono.gexps)[0]
-        if mono.fexp:
-            return sym.mul_monomial(mono.fexp)
-        return sym
 
     def monomial_z_lc(self, mono):
         """Leading z-coefficient of the monomial image, from factor lcs only."""
@@ -268,13 +255,11 @@ class Residual:
     def __init__(self, chain, image):
         self.chain = chain
         self.field = chain.field
-        num = image.num
-        self.fpow = image.fpow
-        self.den = num.den
-        self.content = math.gcd(*num.nums)
-        self.bound = max(map(abs, num.nums))
-        self.width = slot_width(self.bound) + HEADROOM
-        self._set(_pack(num.nums, self.width))
+        pack = Pack(image.num)
+        self.fpow, self.den = image.fpow, pack.den
+        self.content, self.bound = pack.content, pack.bound
+        self.width = pack.width + HEADROOM
+        self._set(pack.at(self.width))
 
     def _set(self, value):
         """Install a new value and read its top digit; over F_p, digits that are 0 mod p go."""
@@ -306,10 +291,8 @@ class Residual:
 
     def _reduce_mod_p(self):
         """Bring every digit back into [0, p); the top digit stays nonzero mod p."""
-        p = self.field.p
-        nums = _unpack(self.value, self.top + 1, self.width)
-        self.value = _pack([c % p for c in nums], self.width)
-        self.bound = p - 1
+        self.value = reduce_mod_p(self.value, self.width, self.field.p)
+        self.bound = self.field.p - 1
 
     def _mul_f_power(self, e):
         """Multiply the num by f^e and raise fpow by e, e > 0."""

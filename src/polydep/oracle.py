@@ -8,6 +8,10 @@ dependence of smaller g-degree exists.  In every characteristic the
 resultant equals a scalar times P^d, where d = gcd of the degree data, so
 the engine's P can be checked against it up to proportionality.
 
+Substitution evaluates the relation at the one point z = 2^(8w) (powers
+of f by `scalar.power`, Horner in g) and reads the image off the digits;
+over F_p every product and Horner row is cut back to residues there.
+
 The resultant is computed by evaluation.  Write f = F/a and g = G/b with F, G
 integer vectors and a, b their denominators, n = deg f and m = deg g.  Then
 Res_z(f - x, g - y) = S(x, y) / (a^m b^n) with S = Res_z(F - a*x, G - b*y),
@@ -17,13 +21,13 @@ comes from the power sums Tr(G^k), k <= n, by Newton's identities (Le
 Verrier's method): Tr(G^k) is the dot product of the Krylov vector
 G^k mod (F - a*x0) with the power sums of the roots of F - a*x0, which
 do not depend on x0.  S, of x-degree at most m, comes from Newton
-interpolation at x0 = 0..m.  Newton's identities divide by 1..n and the
-interpolation by the differences of the points, so over F_p with
-p > max(n, m) this is one pass mod p.  Over Q it is one pass modulo a
-product M of primes below 2^61 that passes twice a bound on |S|'s
-coefficients, and a symmetric lift gives S exactly: by the Chinese
-remainder theorem Z/M is a product of fields, so the pass computes S
-modulo every prime at once (von zur Gathen and Gerhard, Modern Computer
+interpolation of the rows S(x0, y), x0 = 0..m, as vectors.  Newton's
+identities divide by 1..n and the interpolation by the differences of
+the points, so over F_p with p > max(n, m) this is one pass mod p.  Over
+Q it is one pass modulo a product M of primes below 2^61 that passes twice
+a bound on |S|'s coefficients, and a symmetric lift gives S exactly: by the
+Chinese remainder theorem Z/M is a product of fields, so the pass computes
+S modulo every prime at once (von zur Gathen and Gerhard, Modern Computer
 Algebra, ch. 5-6).  Over F_p with p <= max(n, m) there are too few
 interpolation points or too few units mod p; S is an integer polynomial
 in the coefficients of F and G, so it is computed over Z as over Q, from
@@ -31,15 +35,17 @@ their residues in [0, p) with a = b = 1, and reduced mod p.
 Fraction-free (Bareiss) elimination of the symbolic Sylvester matrix is
 the tests' reference for the resultant, in `tests/reference.py`.
 
-The minimality certificate specialises f to a few values x0 modulo a prime
-q and finds the rank of the powers of g in K[z]/(f - x0) there, a Krylov
-sequence (Wiedemann, 1986) from the resultant's kernel; full rank at one
-point proves independence over K(f).  Only when every point loses rank,
-as it must on a False answer, does it eliminate the f^i * g^j vectors
-exactly over K.
+The minimality certificate decides whether 1, g, ..., g^(k-1) are
+independent over K(f).  [K(z) : K(f)] = n = deg f, so for k > n they are
+not.  For k <= n it ranks the powers of g in K[z]/(f - x0) modulo a prime
+q at a few values x0, a Krylov sequence (Wiedemann, 1986) on the
+resultant's per-point multiplication rows; full rank at one point proves
+independence.  Only when every point loses rank does it eliminate the
+f^i * g^j vectors exactly over K.
 """
 
 import math
+from functools import partial
 from operator import mul
 
 from .errors import (
@@ -51,8 +57,8 @@ from .errors import (
     PreconditionFailed,
 )
 from .laurent import Laurent2, exact_div_terms
-from .scalar import clear_denominators, prime_field, word_primes
-from .unipoly import FImage, UniPoly, _pack, _unpack, slot_width
+from .scalar import clear_denominators, power, prime_field, word_primes
+from .unipoly import FImage, UniPoly, _pack, _unpack, reduce_mod_p, slot_width
 
 DEFAULT_DEGREE_CAP = 40
 # the values of f at which minimality_certificate tries the Krylov rank first
@@ -87,9 +93,6 @@ class BivarPoly(Laurent2):
             raise NotPolynomial("element has negative f-exponents")
         return cls(element.field, dict(element.terms))
 
-    def to_laurent(self):
-        return Laurent2(self.field, dict(self.terms))
-
     def exact_div(self, divisor):
         """Quotient when divisor divides exactly, else None."""
         if not divisor:
@@ -114,9 +117,9 @@ def substitute(relation, f, g):
     the value (Kronecker substitution; von zur Gathen and Gerhard, Modern
     Computer Algebra, 8.4).  The image is Q / (a^E b^J D) / f^L.  Over F_p
     the c_ij, F and G are residues and a = b = D = 1; every product and
-    every Horner row is cut back to residues (`_evaluate_mod`), so w stays
-    fixed by p and the size of Q, where the bound above would grow like a
-    power of p in E + J.
+    every Horner row is cut back to residues (`unipoly.reduce_mod_p`), so
+    w stays fixed by p and the size of Q, where the bound above would grow
+    like a power of p in E + J.
     """
     if relation.field != f.field or relation.field != g.field:
         raise FieldMismatch("relation and polynomials over different fields")
@@ -141,63 +144,38 @@ def substitute(relation, f, g):
             [[(i, abs(c)) for i, c in row] for row in by_g],
             sum(map(abs, F)), sum(map(abs, G)), a, b, E,
         )
-        width = max(bound, *map(abs, F), *map(abs, G)).bit_length() // 8 + 1
+        width = slot_width(max(bound, *map(abs, F), *map(abs, G)))
         value = _evaluate(by_g, _pack(F, width), _pack(G, width), a, b, E)
     else:
         width = slot_width(2 * (p - 1) ** 2 * size)
-        value = _evaluate_mod(by_g, _pack(F, width), _pack(G, width), p, width)
+        cut = partial(reduce_mod_p, width=width, p=p)
+        value = _evaluate(by_g, _pack(F, width), _pack(G, width), 1, 1, E, cut)
     num = UniPoly._normal(field, _unpack(value, size, width), a**E * b**J * D)
     return FImage(num, lift, f)
 
 
-def _evaluate(by_g, x, y, a, b, E):
+def _evaluate(by_g, x, y, a, b, E, cut=None):
     """The sum over j of b^(J-j) y^j times the sum over (i, c) in by_g[j] of
     c a^(E-i) x^i, with J = len(by_g) - 1; by Horner in y.  x^i is formed
-    only for the i that occur, each from the next lower one."""
+    only for the i that occur, each from the next lower one.  Over F_p,
+    where a = b = 1 and x, y are packed residues, `cut` brings every product
+    and every Horner row, once its sum is added, back to residues: either
+    (a Horner row is one product plus at most E + 1 multiples c * x^i) has
+    digits below 2 * (p - 1)^2 * size, size the slot count of the result,
+    which the slots hold; so the slots never grow with the exponents.
+    """
+    product = mul if cut is None else lambda u, v: cut(u * v)
     x_pows, prev = {0: 1}, 0
-    for i in sorted({i for row in by_g for i, _ in row}):
-        x_pows[i] = x_pows[prev] * x ** (i - prev)
+    for i in sorted({i for row in by_g for i, _ in row} - {0}):
+        gap = power(x, i - prev, 1, product)
+        x_pows[i] = product(x_pows[prev], gap) if prev else gap
         prev = i
     acc, b_pow = 0, 1
     for row in reversed(by_g):
         acc = acc * y + b_pow * sum(c * a ** (E - i) * x_pows[i] for i, c in row)
+        if cut is not None:
+            acc = cut(acc)
         b_pow *= b
-    return acc
-
-
-def _evaluate_mod(by_g, x, y, p, width):
-    """`_evaluate` over F_p, where a = b = 1, with every product and every
-    Horner row cut back to residues; x and y are packed residues.
-
-    A product of two residue vectors, or a Horner row (one such product
-    plus at most E + 1 multiples c * x^i), has digits below
-    2 * (p - 1)^2 * size, size the slot count of the result, which
-    `width`-byte slots hold; so the slots never grow with the exponents.
-    """
-    bits = 8 * width
-
-    def cut(v):
-        return _pack([c % p for c in _unpack(v, v.bit_length() // bits + 1, width)], width)
-
-    def power(u, e):
-        """u^e by square-and-multiply, e >= 1."""
-        r = None
-        while True:
-            if e & 1:
-                r = u if r is None else cut(r * u)
-            e >>= 1
-            if not e:
-                return r
-            u = cut(u * u)
-
-    x_pows, prev = {0: 1}, 0
-    for i in sorted({i for row in by_g for i, _ in row} - {0}):
-        gap = power(x, i - prev)
-        x_pows[i] = cut(x_pows[prev] * gap) if prev else gap
-        prev = i
-    acc = 0
-    for row in reversed(by_g):
-        acc = cut(acc * y + sum(c * x_pows[i] for i, c in row))
     return acc
 
 
@@ -273,19 +251,24 @@ def _scaled_resultant_mod(F, a, G, b, q):
     of x0 = 0..deg G are units, and none dividing lc(F).
     """
     n, m = len(F) - 1, len(G) - 1
-    inv_lc = pow(F[-1], -1, q)
-    monic = [c * inv_lc % q for c in F]
-    traces = _power_sums(monic, q)
-    inverses = [pow(k, -1, q) for k in range(1, n + 1)]
+    traces = _power_sums(F, q)
+    inverses = [pow(k, -1, q) for k in range(1, max(n, m) + 1)]
     lc_factor = (-1) ** n * pow(F[-1], m, q)
     y_scale = [lc_factor * pow(b, j, q) % q for j in range(n + 1)]  # chi(b*y), times the factor
-    at_x0 = []
-    for x0 in range(m + 1):
+    at_x0 = [
+        [c * s % q for c, s in zip(_charpoly(rows, traces, inverses, q), y_scale)]
+        for rows in _rows_at_points(F, a, G, range(m + 1), q)
+    ]
+    return [c for by_y in _interpolate(at_x0, inverses, q) for c in by_y]
+
+
+def _rows_at_points(F, a, G, points, q):
+    """`_multiplication_rows` of G modulo F - a*x0, made monic mod q, for each x0 in turn."""
+    inv_lc = pow(F[-1], -1, q)
+    monic = [c * inv_lc % q for c in F]
+    for x0 in points:
         monic[0] = (F[0] - a * x0) * inv_lc % q
-        chi = _charpoly(_multiplication_rows(G, monic, q), traces, inverses, q)
-        at_x0.append([c * s % q for c, s in zip(chi, y_scale)])
-    by_y = [_interpolate([row[j] for row in at_x0], q) for j in range(n + 1)]
-    return [by_y[j][i] for i in range(m + 1) for j in range(n + 1)]
+        yield _multiplication_rows(G, monic, q)
 
 
 def _multiplication_rows(G, A, q):
@@ -309,19 +292,20 @@ def _multiplication_rows(G, A, q):
 
 
 def _power_sums(A, q):
-    """Tr(z^j) in K[z]/(A) mod q for j < deg A, A monic: the power sums of its roots.
+    """Tr(z^j) in K[z]/(A) mod q for j < deg A, lc(A) a unit: the power sums of its roots.
 
     With n = deg A, s_0 = n and, by Newton's identities,
-    s_j = -(j * A[n-j] + the sum over 0 < i < j of A[n-i] * s_(j-i)),
+    A[n] * s_j = -(j * A[n-j] + the sum over 0 < i < j of A[n-i] * s_(j-i)),
     which never reads A[0]: every A - a*x0 has the same s_j.
     """
     n = len(A) - 1
+    inv_lc = pow(A[-1], -1, q)
     sums = [n % q]
     for j in range(1, n):
         acc = j * A[n - j]
         for i in range(1, j):
             acc += A[n - i] * sums[j - i]
-        sums.append(-acc % q)
+        sums.append(-acc * inv_lc % q)
     return sums
 
 
@@ -345,23 +329,19 @@ def _charpoly(rows, traces, inverses, q):
     return chi
 
 
-def _interpolate(values, q):
-    """The coefficients, low to high, of the polynomial of degree < len(values)
-    with value values[x] at x = 0, 1, ... mod q; needs every prime factor of
-    q to be at least len(values)."""
-    c = list(values)
-    size = len(c)
+def _interpolate(rows, inverses, q):
+    """The coefficients, low to high, of the polynomial of degree < len(rows)
+    with value rows[x] at x = 0, 1, ... mod q, each coefficient a vector
+    like the rows; inverses[k - 1] is 1/k mod q for k < len(rows)."""
+    c, size = list(rows), len(rows)
     for k in range(1, size):  # Newton's divided differences; points k apart
-        inv = pow(k, -1, q)
+        inv = inverses[k - 1]
         for i in range(size - 1, k - 1, -1):
-            c[i] = (c[i] - c[i - 1]) * inv % q
+            c[i] = [(u - v) * inv % q for u, v in zip(c[i], c[i - 1])]
     poly = [c[-1]]
     for x0 in range(size - 2, -1, -1):  # poly * (x - x0) + c[x0]
-        poly = (
-            [(c[x0] - x0 * poly[0]) % q]
-            + [(lo - x0 * hi) % q for lo, hi in zip(poly, poly[1:])]
-            + [poly[-1]]
-        )
+        pairs = zip([c[x0]] + poly, poly)
+        poly = [[(u - x0 * v) % q for u, v in zip(lo, hi)] for lo, hi in pairs] + poly[-1:]
     return poly
 
 
@@ -426,7 +406,9 @@ def minimality_certificate(f, g, k):
     check_degree_cap(f, g)
     if not 1 <= k <= n * m:
         raise PreconditionFailed(f"k = {k} outside the sane range [1, {n * m}]")
-    if k <= n and _independent_at_a_point(f, g, k):
+    if k > n:
+        return False  # [K(z) : K(f)] = n, so any n + 1 powers of g are dependent
+    if _independent_at_a_point(f, g, k):
         return True
     f_pows, g_pows = f.powers(m), g.powers(k - 1)
     return _independent(((fp * gp).nums for gp in g_pows for fp in f_pows), f.field)
@@ -435,18 +417,10 @@ def minimality_certificate(f, g, k):
 def _independent_at_a_point(f, g, k):
     """True when G^j mod (F - a*x0), j < k, are independent over F_q at some x0."""
     F, a, G, b = f.nums, f.den, g.nums, g.den
-    if f.field.p is None:
-        q = next(q for q in word_primes() if F[-1] * a * b % q)
-        field = prime_field(q)
-    else:
-        q, field = f.field.p, f.field
-    inv_lc = pow(F[-1], -1, q)
-    monic = [c * inv_lc % q for c in F]
-    for x0 in sorted({x % q for x in SPECIALISATIONS}):
-        monic[0] = (F[0] - a * x0) * inv_lc % q
-        if _independent(_krylov(_multiplication_rows(G, monic, q), k, q), field):
-            return True
-    return False
+    q = f.field.p or next(q for q in word_primes() if F[-1] * a * b % q)
+    field = f.field if f.field.p else prime_field(q)
+    rows_at = _rows_at_points(F, a, G, sorted({x % q for x in SPECIALISATIONS}), q)
+    return any(_independent(_krylov(rows, k, q), field) for rows in rows_at)
 
 
 def _krylov(rows, k, q):

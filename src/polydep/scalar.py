@@ -9,6 +9,7 @@ raw scalar values, so equality of scalars is equality of representations.
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import CoefficientNotInField, DivisionByZero, InvalidFieldSpec, NotPrime
 
@@ -229,17 +230,18 @@ def parse_field(text):
     raise InvalidFieldSpec(f"unknown field {text!r}; expected 'q' or 'fp:<p>'")
 
 
-def power(base, e, one):
-    """base**e for e >= 0 by square-and-multiply; `one` is the ring's identity."""
+def power(base, e, one, product=mul):
+    """base**e for e >= 0 by square-and-multiply; `one` is the ring's identity
+    and `product` its multiplication."""
     if e < 0:
         raise ValueError(f"negative power of a {type(base).__name__}")
     result = None
     while e:
         if e & 1:
-            result = base if result is None else result * base
+            result = base if result is None else product(result, base)
         e >>= 1
         if e:
-            base = base * base
+            base = product(base, base)
     return one if result is None else result
 
 

@@ -69,6 +69,13 @@ def slot_width(bound):
     return bound.bit_length() // 8 + 1
 
 
+def reduce_mod_p(value, width, p):
+    """A packed value of non-negative digits, each below 2^(8*width-1), with
+    every digit reduced mod p; the slots keep their `width` bytes."""
+    n = value.bit_length() // (8 * width) + 1
+    return _pack([c % p for c in _unpack(value, n, width)], width)
+
+
 def _restride(raw, n, width, to, half):
     """The n slots of `raw` as an int with `to`-byte slots, `to` >= `width`.
 

@@ -2,7 +2,7 @@
 
 from fractions import Fraction
 
-from polydep import BivarPoly, FImage, UniPoly
+from polydep import BivarPoly, FImage, Laurent2, UniPoly
 from polydep.errors import InternalInvariantViolation
 from polydep.laurent import add_terms, exact_div_terms, mul_terms
 from polydep.scalar import clear_denominators
@@ -36,6 +36,22 @@ def horner_substitute(relation, f, g):
                 num = num + fpows[fe + lift].scale(c)
             acc = acc + FImage(num, lift, f)
     return acc
+
+
+def monomial_degree(chain, mono):
+    """The z-degree of a standard monomial, recomputed from the chain's degree data."""
+    return mono.fexp * chain.n + sum(j * st.m for j, st in zip(mono.gexps, chain.steps))
+
+
+def monomial_symbolic(chain, mono):
+    """The standard monomial expanded in K[f, f^-1, g], from the chain's g-parts."""
+    sym = chain._gpart(mono.gexps)[0]
+    return sym.mul_monomial(mono.fexp) if mono.fexp else sym
+
+
+def to_laurent(bivar):
+    """A BivarPoly as the Laurent2 element with the same terms."""
+    return Laurent2(bivar.field, dict(bivar.terms))
 
 
 def resultant_top_terms(f, g):

@@ -30,6 +30,7 @@ from polydep import (
 )
 from polydep.cli import main as cli_main
 from gen import automorphic_pair, random_laurent, random_monic_laurent, random_pair
+from reference import monomial_degree
 
 Q = rationals()
 
@@ -254,7 +255,7 @@ def test_criterion_8_standard_monomials(suite4, capsys):
         for deg in range(-2 * n, 2 * n + 1):
             if deg % d_s == 0:
                 mono = chain.std_monomial_of_degree(s, deg)
-                ok = ok and chain.monomial_degree(mono) == deg
+                ok = ok and monomial_degree(chain, mono) == deg
     elapsed = time.perf_counter() - t0
     with capsys.disabled():
         report(8, "standard-monomial combinatorics on every chain", ok, elapsed)

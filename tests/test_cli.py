@@ -354,6 +354,8 @@ def test_admissible_target(capsys):
         (["z^2"], "error: candidate polynomials f and g need --target"),
         (["--field", "fp:4"], "error: 4 is not prime"),
         (["--max-n", "15", "--field", "r"], "error: unknown field"),
+        (["--max-n", "-5"], f"error: --max-n must be at most {MAX_ADMISSIBLE_N} and at least 0"),
+        (["--max-steps", "-1"], "error: --max-steps must be at least 0"),
     ],
 )
 def test_admissible_listing_refuses_inputs_it_would_ignore(capsys, argv, message):
@@ -372,6 +374,7 @@ def test_admissible_max_n_is_capped(capsys):
     code, out, _ = run_cli(capsys, "admissible", "--max-n", str(cap))
     assert code == 0
     assert out.splitlines()[-1].startswith(f"({cap - 1};")  # the largest odd n <= cap
+    assert run_cli(capsys, "admissible", "--max-n", "0") == (0, "", "")
 
 
 @pytest.mark.parametrize("target", ["a,b", "9,x", "9,", "9", "٩,6", "9,²"])
@@ -468,6 +471,8 @@ def test_max_steps_exhausted_exit2(capsys):
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: --max-steps {argv[-1]} exhausted: step ")
+    code, out, err = run_cli(capsys, "depend", "--max-steps", "-1", "z^2", "z^3")
+    assert (code, out, err) == (2, "", "error: --max-steps must be at least 0\n")
     with pytest.raises(IterationCapExceeded):
         engine.run(parse_polynomial("z^2", Q), parse_polynomial("z^3", Q), max_reductions=0)
 

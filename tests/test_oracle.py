@@ -33,6 +33,7 @@ from reference import (
     krylov_unpacked,
     resultant_top_terms,
     sylvester_matrix,
+    to_laurent,
 )
 
 Q = rationals()
@@ -600,6 +601,9 @@ def test_minimality_true_forms_no_products(monkeypatch):
     assert run(f, g).relation_gdeg == 3
     monkeypatch.setattr(UniPoly, "__mul__", refuse)
     assert minimality_certificate(f, g, 3) is True
+    # n = deg f = 3 = [K(z) : K(f)], so any n + 1 powers of g are dependent
+    assert minimality_certificate(f, g, 4) is False
+    assert minimality_certificate(f, g, 3 * 4) is False
     assert minimality_certificate(z_pow(Q, 2), z_pow(Q, 3), 2) is True
 
 
@@ -698,7 +702,7 @@ def test_from_laurent_rejects_negative_exponents():
 
 def test_bivar_roundtrip():
     element = Laurent2.make(Q, {(0, 4): 1, (3, 2): -2, (1, 0): -1})
-    assert BivarPoly.from_laurent(element).to_laurent() == element
+    assert to_laurent(BivarPoly.from_laurent(element)) == element
 
 
 # -- the sparse kernel shared with Laurent2 ------------------------------------------
@@ -739,12 +743,12 @@ def test_exact_div_none_when_not_exact(pair):
 def test_operations_keep_the_type(pair):
     a, b = pair
     field = a.field
-    la, lb = a.to_laurent(), b.to_laurent()
+    la, lb = to_laurent(a), to_laurent(b)
     for value in (a + b, a - b, -a, a * b, a**2, a.scale(3), a.mul_monomial(1)):
         assert type(value) is BivarPoly
     for value in (la + lb, la - lb, -la, la * lb, la**2, la.scale(3), la.mul_monomial(-1)):
         assert type(value) is Laurent2
-    assert (a * b).to_laurent() == la * lb
+    assert to_laurent(a * b) == la * lb
     assert a != la and BivarPoly.zero(field) != Laurent2.zero(field)
     with pytest.raises(TypeError):
         a + la
