@@ -2,7 +2,8 @@
 
 Commands: depend, verify, semigroup, ams, richman, admissible, oracle.
 Exit codes: 0 success, 2 bad input or failed precondition, 3 internal
-invariant violation (with a diagnostic dump).  JSON reports are
+invariant violation (with a diagnostic dump); the installed script exits
+141 when stdout is closed before the report is written.  JSON reports are
 deterministic: fixed key order, terms sorted by the monomial order,
 coefficients rendered as exact fraction/residue strings.
 """
@@ -11,6 +12,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -37,6 +39,8 @@ MAX_ADMISSIBLE_N = 8000
 # the longest `--batch` line: Linux's limit on one command-line argument
 # (MAX_ARG_STRLEN), which already bounds a request given on the command line
 MAX_BATCH_LINE = 131_072
+# the status a shell reports for a program that SIGPIPE ended (128 + 13)
+EXIT_PIPE_CLOSED = 141
 DIGITS = "0123456789"  # str.isdigit also accepts superscripts and other scripts' digits
 
 
@@ -516,7 +520,15 @@ def _run_batch(path):
 
 
 def console_main():
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader of stdout is gone; stdout goes to devnull, so that the
+        # flush at exit finds no pipe to fail on and prints nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_PIPE_CLOSED
+    sys.exit(code)
 
 
 if __name__ == "__main__":

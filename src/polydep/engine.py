@@ -9,13 +9,19 @@ symbolically as an element of K[f, f^-1, g] and concretely as an element of
 K[z, f(z)^-1].  The image moves with every subtraction, since its leading
 term picks the next monomial.  Within a step it is a `Residual`: the
 integer numerator packed in one big integer, `width` bytes per
-coefficient.  An event is one Kronecker product of the monomial's g-part
-and power of f, then one update R*ma - P*mb of the big integer; its
-leading coefficient and degree read off the top slot.  The `Chain` holds
-one table of g-parts and one of powers of f, each entry built when an
-event first names it, with its pack at its natural width (widened by
-strided byte copies) beside it.  The image is unpacked once, when the
-step ends.  The symbolic side is formed once per step:
+coefficient.  An event takes the packed product G*f^t of the monomial's
+g-part and power of f from one seam, `Residual.event_product`, then makes
+one update R*ma - P*mb of the big integer; its leading coefficient and
+degree read off the top slot.  Over F_p, and for a g-part's first event of
+a step, the product is one balanced Kronecker product.  Over Q the events
+of one g-part walk down through t on dense steps, so once a g-part's event
+follows one at t + 1, its products come in blocks: G*f^b balanced, then
+G*f^(b+1), ..., G*f^t each by one lopsided product with f, held on the
+residual until their events come.  The `Chain` holds one table of
+g-parts and one of powers of f, each entry built when an event first names
+it: a g-part with its pack at its natural width (widened by strided byte
+copies) beside it, a power of f as its pack alone.  The image is unpacked
+once, when the step ends.  The symbolic side is formed once per step:
 the coefficients of a step's monomials are collected under their g-part G
 (the product of chain-element powers), and the residual is
 g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part,
@@ -99,7 +105,7 @@ class Chain:
         self.n = f.degree
         self.steps = []
         one = UniPoly.one(field)
-        self._f_pows = {}  # e -> (f^e, its Pack), e >= 0
+        self._f_pows = {}  # e -> the Pack of f^e, e >= 0
         self._f_lc_pows = {}  # lc(f)^e for the e seen so far, e of either sign
         # g-parts keyed by their exponents without trailing zeros:
         # (symbolic, image, Pack of the image's num, z-leading coefficient)
@@ -125,12 +131,13 @@ class Chain:
         self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, a))
 
     def f_power(self, e):
-        """f^e and its Pack, cached; e >= 0.
+        """The Pack of f^e, cached; e >= 0.
 
         An uncached f^e is the largest cached power f^e0 below it (if any)
         times f^(e - e0) by square-and-multiply, so a run builds only the
         powers its events name: one product by f per power on a dense walk,
-        a few squarings for a jump.
+        a few squarings for a jump.  Only the packs are kept, a third of the
+        memory of the polynomials; f^e0 is multiplied from its pack.
         """
         pows = self._f_pows
         got = pows.get(e)
@@ -138,8 +145,8 @@ class Chain:
             e0 = max(filter(e.__gt__, pows), default=0)
             fe = self.f ** (e - e0)
             if e0:
-                fe = pows[e0][0] * fe
-            got = pows[e] = (fe, Pack(fe))
+                fe = pows[e0].times(fe)
+            got = pows[e] = Pack(fe)
         return got
 
     def f_lc_power(self, e):
@@ -201,7 +208,7 @@ class Chain:
         img = self._gpart(mono.gexps)[1]
         e = mono.fexp
         if e > 0:
-            return FImage(img.num * self.f_power(e)[0], img.fpow, self.f)
+            return FImage(self.f_power(e).times(img.num), img.fpow, self.f)
         if e < 0:
             return FImage(img.num, img.fpow - e, self.f)
         return img
@@ -260,6 +267,8 @@ class Residual:
         self.content, self.bound = pack.content, pack.bound
         self.width = pack.width + HEADROOM
         self._set(pack.at(self.width))
+        self._last = {}  # over Q: g-part -> t of its last event in the step
+        self._held = {}  # over Q: g-part -> its next events' products, t ascending
 
     def _set(self, value):
         """Install a new value and read its top digit; over F_p, digits that are 0 mod p go."""
@@ -283,9 +292,8 @@ class Residual:
         num = UniPoly._normal(self.field, nums, self.den)
         return FImage(num, self.fpow, self.chain.f)
 
-    def _widen(self, bound):
-        """Re-cut the slots so that they hold `bound`, with headroom."""
-        width = slot_width(bound) + HEADROOM
+    def _widen(self, width):
+        """Re-cut the slots to `width` bytes, `width` >= self.width."""
         self.value = widen(self.value, self.top + 1, self.width, width, self.field.p is None)
         self.width = width
 
@@ -296,7 +304,7 @@ class Residual:
 
     def _mul_f_power(self, e):
         """Multiply the num by f^e and raise fpow by e, e > 0."""
-        fp = self.chain.f_power(e)[1]
+        fp = self.chain.f_power(e)
         n = self.top + 1
         self.bound *= fp.bound * min(n, fp.n)
         width = slot_width(self.bound) + HEADROOM
@@ -307,13 +315,77 @@ class Residual:
         self.fpow += e
         self._set(value)
 
+    def event_product(self, gexps, gp, t):
+        """The packed G*f^t of an event, G the g-part `gexps` with Pack `gp`, t >= 0.
+
+        Returns (value, slots, width, bound, den, content): the product of
+        the nums with `width`-byte slots, its slot count, a bound on every
+        digit, the product's den, and a content its digits share.  It is
+        one balanced Kronecker product of the cached packs, except over Q
+        when the g-part's previous event was at t + 1: then its events walk
+        down through t, and the product is the top one of a block of B > 1
+        exponents b..t (`_block`), whose rest waits on the residual for the
+        g-part's next events and goes with it when the step ends.  A
+        balanced product of two k-slot operands costs about k^log2(3) slot
+        products under Karatsuba, and a product by the |f| slots of f about
+        k*|f|^(log2(3) - 1), so B = ceil((min(|G|, |f^t|) / |f|)^(log2(3) - 1))
+        steps by f cost about one balanced product; when min(|G|, |f^t|)
+        <= |f|, B = 1 and the product is the balanced one.
+        """
+        if self.field.p is None:
+            last = self._last.get(gexps)
+            self._last[gexps] = t
+            if last == t + 1:
+                held = self._held.get(gexps)
+                if held:
+                    return held.pop()
+                n = self.chain.n
+                k = min(gp.n, t * n + 1)
+                if k > n + 1:  # else B = 1; here B > 1 and t > 1
+                    size = math.ceil((k / (n + 1)) ** (math.log2(3) - 1))
+                    held = self._held[gexps] = self._block(gp, max(t - size + 1, 0), t)
+                    return held.pop()
+            else:
+                self._held.pop(gexps, None)  # a skip: no event asks for them now
+        fp = self.chain.f_power(t)
+        bound = gp.bound * fp.bound * min(gp.n, fp.n)
+        width = slot_width(bound)
+        return (gp.at(width) * fp.at(width), gp.n + fp.n - 1, width, bound,
+                gp.den * fp.den, gp.content * fp.content)
+
+    def _block(self, gp, b, t):
+        """The event products G*f^b, ..., G*f^t, b < t, b first, all at the top one's width.
+
+        G*f^b is one balanced product and each next one is the last times
+        f, so its digits are bounded by the last bound times ||f||_1, the
+        sum of the |nums| of f.
+        """
+        chain = self.chain
+        fb, f = chain.f_power(b), chain.f_power(1)
+        norm = sum(map(abs, chain.f.nums))
+        bound = gp.bound * fb.bound * min(gp.n, fb.n)
+        width = slot_width(bound * norm ** (t - b))  # so the pack of f fits it too
+        value, slots = gp.at(width) * fb.at(width), gp.n + fb.n - 1
+        den, content = gp.den * fb.den, gp.content * fb.content
+        block = [(value, slots, width, bound, den, content)]
+        fw = f.at(width)
+        for _ in range(b, t):
+            value *= fw
+            slots += chain.n
+            bound *= norm
+            den *= f.den
+            content *= f.content
+            block.append((value, slots, width, bound, den, content))
+        return block
+
     def eliminate(self, mono):
         """Subtract k times the monomial's image to cancel the top digit; returns k.
 
         The image is G * f^t over the aligned power of f: G the g-part's
-        num, t = fexp + fpow - fpow(G), raising fpow first when t < 0.  It
-        is one Kronecker product of the cached packs, widened to the
-        residual's slots, and the update is R*ma - P*mb on the packed ints.
+        num, t = fexp + fpow - fpow(G), raising fpow first when t < 0.  Its
+        packed num comes from `event_product`; the residual widens to the
+        product's slots if need be, and the update is R*ma - P*mb on the
+        packed ints.
         """
         chain, field = self.chain, self.field
         p = field.p
@@ -322,12 +394,7 @@ class Residual:
         if t < 0:
             self._mul_f_power(-t)
             t = 0
-        fp = chain.f_power(t)[1]
-        n = gp.n + fp.n - 1
-        bound = gp.bound * fp.bound * min(gp.n, fp.n)
-        width = slot_width(bound)
-        prod = gp.at(width) * fp.at(width)
-        den = gp.den * fp.den
+        prod, n, width, bound, den, content = self.event_product(mono.gexps, gp, t)
         lc = top_digit(prod, width)[1]
         z_lc = field.div(field.quotient(lc, den), chain.f_lc_power(self.fpow))
         if z_lc != chain.monomial_z_lc(mono):
@@ -346,12 +413,13 @@ class Residual:
             if new_bound.bit_length() >= 8 * self.width:
                 self._reduce_mod_p()
                 new_bound = self.bound + bound * (p - k)
-        if new_bound.bit_length() >= 8 * self.width:
-            self._widen(new_bound)
+        if new_bound.bit_length() >= 8 * self.width or width > self.width:
+            # a held product's slots can be wider than the residual's
+            self._widen(max(slot_width(new_bound) + HEADROOM, width))
         value = self.value * ma - widen(prod, n, width, self.width, p is None) * mb
         if p is None:
             self.den *= ma
-            c = math.gcd(self.content * ma, gp.content * fp.content * mb)
+            c = math.gcd(self.content * ma, content * mb)
             h = math.gcd(c, self.den)
             if h != 1:
                 value //= h

@@ -13,7 +13,8 @@ Every result is brought to canonical form by one gcd over its integers,
 never by one `Fraction` per coefficient.
 
 The engine's reduction events use the packed form directly: a `Pack`
-holds one polynomial's nums at their natural slot width, `widen` re-cuts
+holds one polynomial's nums at their natural slot width (`times`
+multiplies it by another polynomial without packing it again), `widen` re-cuts
 a packed value to wider slots by strided byte copies, and `top_digit`
 reads the leading slot of a packed value without unpacking it.
 
@@ -147,6 +148,19 @@ class Pack:
     def at(self, width):
         """The nums packed with `width`-byte slots, `width` >= self.width."""
         return _restride(self.raw, self.n, self.width, width, self.half)
+
+    def times(self, poly):
+        """The packed polynomial times `poly`, by one Kronecker product.
+
+        This side is restrided from its pack, not packed again, so a
+        product with a cached Pack costs one packing, not two.
+        """
+        nums = poly.nums
+        bound = self.bound * max(map(abs, nums)) * min(self.n, len(nums))
+        width = slot_width(bound)
+        value = self.at(width) * _pack(nums, width)
+        return UniPoly._normal(poly.field, _unpack(value, self.n + len(nums) - 1, width),
+                               self.den * poly.den)
 
 
 def _kronecker(a, b):

@@ -1,7 +1,9 @@
 import dataclasses
 import hashlib
 import json
+import os
 import random
+import subprocess
 import sys
 import threading
 from fractions import Fraction
@@ -15,6 +17,7 @@ from polydep import (
     Laurent2, UniPoly, engine, laurent, parse_field, prime_field, rationals, semigroup,
 )
 from polydep.cli import (
+    EXIT_PIPE_CLOSED,
     MAX_ADMISSIBLE_N,
     MAX_BATCH_LINE,
     main,
@@ -475,6 +478,24 @@ def test_max_steps_exhausted_exit2(capsys):
     assert (code, out, err) == (2, "", "error: --max-steps must be at least 0\n")
     with pytest.raises(IterationCapExceeded):
         engine.run(parse_polynomial("z^2", Q), parse_polynomial("z^3", Q), max_reductions=0)
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of stdout is gone before the script writes its report: the
+    # documented exit status, and no traceback from the write or the flush
+    read, write = os.pipe()
+    os.close(read)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from polydep.cli import console_main; console_main()",
+             "depend", "--json", "z^2", "z^3"],
+            stdout=write, stderr=subprocess.PIPE, env=env, timeout=60,
+        )
+    finally:
+        os.close(write)
+    assert (proc.returncode, proc.stderr) == (EXIT_PIPE_CLOSED, b"")
 
 
 def test_batch_mode(tmp_path, capsys):

@@ -4,8 +4,13 @@ Pairs have degree at most 6 over Q and over F_p for p in 2, 3, 5 and
 2^31 - 1, with leading coefficients that need not be 1.  Half of the pairs
 over a small prime have both degrees divisible by p, where chain degrees can
 go negative.  Each pair runs in both input orders.
+
+The engine over Q is also checked against itself over F_q, on pairs of
+degree at most 12 and automorphic pairs, since the two fields take
+different event paths through `engine.Residual`.
 """
 
+import random
 from fractions import Fraction
 
 from hypothesis import example, given, settings
@@ -13,6 +18,7 @@ from hypothesis import strategies as st
 
 from polydep import (
     BivarPoly,
+    Laurent2,
     UniPoly,
     check_resultant_power,
     minimality_certificate,
@@ -22,6 +28,7 @@ from polydep import (
     substitute,
     sylvester_resultant,
 )
+from gen import automorphic_pair
 from reference import monomial_degree, monomial_symbolic, resultant_top_terms
 
 FIELDS = [rationals()] + [prime_field(p) for p in (2, 3, 5, 2**31 - 1)]
@@ -115,3 +122,53 @@ def test_pairs_reach_the_weak_corners():
 
     collect()
     assert seen == {"non-monic", "p | gcd", "fractions"}
+
+
+Q = FIELDS[0]
+WORD_PRIMES = [2**61 - 1, 2**31 - 1, 10007]
+
+
+@st.composite
+def pairs_over_q(draw):
+    """Dense pairs over Q of degree at most 12, or automorphic pairs up to degree 32."""
+    if draw(st.booleans()):
+        return automorphic_pair(random.Random(draw(st.integers(0, 2**32))), Q, max_degree=32)
+    values = st.fractions(min_value=-5, max_value=5, max_denominator=3)
+    lead = values.filter(bool)
+    polys = []
+    for _ in range(2):
+        n = draw(st.integers(1, 12))
+        coeffs = draw(st.lists(values, min_size=n, max_size=n)) + [draw(lead)]
+        polys.append(UniPoly.make(Q, coeffs))
+    return tuple(polys)
+
+
+@settings(max_examples=120, deadline=None)
+@given(pairs_over_q(), st.sampled_from(WORD_PRIMES))
+def test_q_engine_agrees_with_itself_mod_q(pair, q):
+    # Q keeps signed slots, a den and a content, and builds a g-part's
+    # products in blocks; F_q keeps unsigned slots and cuts them mod q.
+    # Both must take the same events.  A pair is skipped when q divides a
+    # denominator in sight or an input's leading coefficient, and when q
+    # divides the numerator of some k: then the residual's leading
+    # coefficient vanishes mod q and the F_q run rightly goes elsewhere.
+    f, g = pair
+    result = run(f, g)
+    ks = [ev.coefficient for ev in result.trace]
+    if any(not c.numerator % q for c in [f.leading_coefficient(), g.leading_coefficient(), *ks]):
+        return
+    scalars = [*f.coeffs, *g.coeffs, *ks, *result.relation.terms.values()]
+    if any(not c.denominator % q for c in scalars):
+        return
+    fq = prime_field(q)
+    mod = run(*(UniPoly.make(fq, [fq.element(c) for c in h.coeffs]) for h in (f, g)))
+    assert (mod.m_sequence, mod.d_sequence, mod.a_sequence, mod.swapped) == (
+        result.m_sequence, result.d_sequence, result.a_sequence, result.swapped
+    )
+    assert mod.relation == Laurent2.make(
+        fq, {k: fq.element(c) for k, c in result.relation.terms.items()}
+    )
+    assert [(ev.step, ev.degree_before, ev.monomial, ev.coefficient) for ev in mod.trace] == [
+        (ev.step, ev.degree_before, ev.monomial, fq.element(ev.coefficient))
+        for ev in result.trace
+    ]

@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import weakref
 from fractions import Fraction
 
 import pytest
@@ -22,7 +23,7 @@ from polydep import (
 )
 from polydep import engine, laurent
 from polydep.engine import Residual
-from polydep.unipoly import _unpack
+from polydep.unipoly import _unpack, widen
 from polydep.errors import (
     ConstantInput,
     InternalInvariantViolation,
@@ -482,6 +483,96 @@ def test_growth_branches_are_taken_and_change_nothing(monkeypatch, name, branch)
     assert tight.relation == expected.relation
 
 
+EVENT_PRODUCT_PAIRS = {
+    **BENCH_SIZED,
+    "q-24x36": lambda: dense_pair(Q, 24, 36, 1, lcs=(2, -3)),
+}
+
+
+@pytest.mark.parametrize("name", list(EVENT_PRODUCT_PAIRS))
+def test_event_products_equal_one_balanced_product(monkeypatch, name):
+    # a product from a block is built by steps of f at the block's width;
+    # each must equal the balanced product G*f^t at that width, with a
+    # digit bound that holds for its own t
+    f, g = EVENT_PRODUCT_PAIRS[name]()
+    original = Residual.event_product
+    blocks = count_calls(monkeypatch, "_block")
+    last = {}  # (residual, g-part) -> t of the g-part's last event
+
+    def checked(self, gexps, gp, t):
+        built = len(blocks)
+        out = value, slots, width, bound, den, content = original(self, gexps, gp, t)
+        if blocks[built:] and blocks[-1][1] < t:
+            # several products at once only for a g-part walking down through t
+            assert last.get((self, gexps)) == t + 1
+        last[self, gexps] = t
+        fp = self.chain.f_power(t)
+        assert value == gp.at(width) * fp.at(width)
+        assert (slots, den, content) == (gp.n + fp.n - 1, gp.den * fp.den, gp.content * fp.content)
+        digits = _unpack(value, slots, width)
+        assert digits[-1] and max(map(abs, digits)) <= bound < 2 ** (8 * width - 1)
+        return out
+
+    monkeypatch.setattr(Residual, "event_product", checked)
+    run(f, g)
+    # over Q blocks of several products are built; over F_p never
+    assert any(b < t for _, b, t in blocks) == (f.field.p is None)
+
+
+def test_held_products_go_with_their_step(monkeypatch):
+    # the products a block holds for later events live on the step's
+    # residual, which is gone once the step returns
+    residuals, blocks = [], count_calls(monkeypatch, "_block")
+    init, step = Residual.__init__, engine.reduce_step
+
+    def tracked(self, *args):
+        init(self, *args)
+        residuals.append(weakref.ref(self))
+
+    def checked_step(*args):
+        out = step(*args)
+        assert residuals and all(ref() is None for ref in residuals)
+        return out
+
+    monkeypatch.setattr(Residual, "__init__", tracked)
+    monkeypatch.setattr(engine, "reduce_step", checked_step)
+    run(*BENCH_SIZED["q-12x18"]())
+    assert any(b < t for _, b, t in blocks)
+
+
+def test_a_skipped_exponent_drops_the_held_products():
+    # t falls by one on dense steps; after a skip the g-part's held
+    # products are for exponents no event will ask for, and must not be
+    # handed out for the next ones
+    f, g = dense_pair(Q, 12, 18, 1, lcs=(2, -3))
+    chain = fresh_chain(Q, f, g)
+    r = Residual(chain, FImage.from_poly(g, f))
+    gp = chain._gpart((2,))[2]
+    for t in (9, 8, 6, 5, 4, 3, 2, 0):
+        value, slots, width, *_ = r.event_product((2,), gp, t)
+        assert value == gp.at(width) * chain.f_power(t).at(width)
+
+
+@pytest.mark.parametrize("name", ["q-12x18", "p31-12x18"])
+def test_a_product_wider_than_the_residual_widens_it(monkeypatch, name):
+    # a block's products all have its top one's slots, which can be wider
+    # than the residual's; the residual must widen to them, since a product
+    # is never narrowed.  Here every product comes a byte wider still.
+    f, g = BENCH_SIZED[name]()
+    expected = run(f, g)
+    original = Residual.event_product
+
+    def wider(self, gexps, gp, t):
+        value, slots, width, *rest = original(self, gexps, gp, t)
+        to = max(width, self.width) + 1
+        return (widen(value, slots, width, to, self.field.p is None), slots, to, *rest)
+
+    check_every_residual(monkeypatch)
+    monkeypatch.setattr(Residual, "event_product", wider)
+    got = run(f, g)
+    assert (got.trace, got.relation) == (expected.trace, expected.relation)
+
+
 def test_residual_keeps_its_value_under_a_power_of_f():
     # over Q a run never raises the residual's power of f, so a non-integer
     # f with content is tried here directly
@@ -533,9 +624,10 @@ def test_sparse_exponent_costs_products_per_event_not_per_power(monkeypatch, fie
     # one event with f^m: square-and-multiply from the cached powers, where
     # a walk over every power below m would take m products
     products = count_products(monkeypatch)
+    seam = count_calls(monkeypatch, "event_product")
     result = run(z_pow(field, n), z_pow(field, m))
     assert len(products) <= 64
-    assert len(result.trace) == 1
+    assert len(result.trace) == len(seam) == 1
     assert result.relation == L(field, {(0, n): 1, (m, 0): -1})
 
 
