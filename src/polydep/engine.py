@@ -17,16 +17,22 @@ a step, the product is one balanced Kronecker product.  Over Q the events
 of one g-part walk down through t on dense steps, so once a g-part's event
 follows one at t + 1, its products come in blocks: G*f^b balanced, then
 G*f^(b+1), ..., G*f^t each by one lopsided product with f, held on the
-residual until their events come.  The `Chain` holds one table of
-g-parts and one of powers of f, each entry built when an event first names
-it: a g-part with its pack at its natural width (widened by strided byte
-copies) beside it, a power of f as its pack alone.  The image is unpacked
-once, when the step ends.  The symbolic side is formed once per step:
-the coefficients of a step's monomials are collected under their g-part G
-(the product of chain-element powers), and the residual is
-g_s^(a_s) - sum over G of G * (sum of k * f^e), one product per g-part,
-added up as one integer sum over the lcm of the products' denominators
-with one canonical scalar per output term (`laurent.sum_of_products`).
+residual until their events come.  Each event checks the product's
+leading coefficient against the one its factors predict, cross-multiplied
+in integers.  The `Chain` holds one table of g-parts and one of powers of
+f, each entry built when an event first names it: a g-part with its pack
+at its natural width (widened by strided byte copies) beside it, a power
+of f as its pack alone.  Both tables build by halving through themselves:
+an uncached entry is the product of two entries of about half its
+exponent, each looked up or built the same way, so a lone entry costs
+O(log e) products and a run of neighbouring ones about one product each.
+The image is unpacked once, when the step ends.  The symbolic side is
+formed once per step: the coefficients of a step's monomials are
+collected under their g-part G (the product of chain-element powers), and
+the residual is g_s^(a_s) - sum over G of G * (sum of k * f^e), one
+product per g-part, added up as one integer sum over the lcm of the
+products' denominators with one canonical scalar per output term
+(`laurent.sum_of_products`).
 When the residual of a step vanishes, the symbolic residual *is* the monic
 irreducible polynomial P with P(f(z), g(z)) = 0.
 
@@ -91,6 +97,7 @@ class ChainStep:
     m: int
     d: int
     a: int
+    m_inv: int = None  # (m/d)^-1 mod a when a > 1: the standard-monomial solve's multiplier
 
 
 class Chain:
@@ -105,8 +112,8 @@ class Chain:
         self.n = f.degree
         self.steps = []
         one = UniPoly.one(field)
-        self._f_pows = {}  # e -> the Pack of f^e, e >= 0
-        self._f_lc_pows = {}  # lc(f)^e for the e seen so far, e of either sign
+        self._f_pows = {0: Pack(one), 1: Pack(f)}  # e -> the Pack of f^e, e >= 0
+        self._f_lc_pows = {}  # e -> ints (u, v) with lc(f)^e = u / v, e of either sign
         # g-parts keyed by their exponents without trailing zeros:
         # (symbolic, image, Pack of the image's num, z-leading coefficient)
         self._gparts = {
@@ -128,33 +135,37 @@ class Chain:
         d_prev = self.steps[-1].d if self.steps else self.n
         d = math.gcd(d_prev, abs(m))
         a = d_prev // d
-        self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, a))
+        m_inv = pow(m // d % a, -1, a) if a > 1 else None
+        self.steps.append(ChainStep(len(self.steps), symbolic, image, m, d, a, m_inv))
 
     def f_power(self, e):
         """The Pack of f^e, cached; e >= 0.
 
-        An uncached f^e is the largest cached power f^e0 below it (if any)
-        times f^(e - e0) by square-and-multiply, so a run builds only the
-        powers its events name: one product by f per power on a dense walk,
-        a few squarings for a jump.  Only the packs are kept, a third of the
-        memory of the polynomials; f^e0 is multiplied from its pack.
+        An uncached f^e is f^(e//2) * f^(e - e//2), both halves looked up
+        in, or built into, the same table, so every product is of two
+        cached packs.  A lone f^e costs O(log e) products, with recursion
+        no deeper than e.bit_length(); powers requested in a row, in
+        either order, cost about one product each.  Only the packs are
+        kept, a third of the memory of the polynomials.
         """
-        pows = self._f_pows
-        got = pows.get(e)
+        got = self._f_pows.get(e)
         if got is None:
-            e0 = max(filter(e.__gt__, pows), default=0)
-            fe = self.f ** (e - e0)
-            if e0:
-                fe = pows[e0].times(fe)
-            got = pows[e] = Pack(fe)
+            half = e // 2
+            got = self._f_pows[e] = Pack(self.f_power(half).times(self.f_power(e - half)))
         return got
 
     def f_lc_power(self, e):
-        """lc(f)^e for any integer e, cached."""
-        c = self._f_lc_pows.get(e)
-        if c is None:
-            c = self._f_lc_pows[e] = self.field.pow(self.f.leading_coefficient(), e)
-        return c
+        """(u, v), ints with lc(f)^e = u / v, cached; e of either sign.
+
+        Over F_p, u and v are residues mod p."""
+        got = self._f_lc_pows.get(e)
+        if got is None:
+            u, v = self.f.nums[-1], self.f.den
+            if e < 0:
+                u, v = v, u
+            p = self.field.p
+            got = self._f_lc_pows[e] = (pow(u, abs(e), p), pow(v, abs(e), p))
+        return got
 
     def std_monomial_of_degree(self, s, deg):
         """The unique s-standard monomial of the given z-degree.
@@ -172,8 +183,7 @@ class Chain:
             st = steps[k]
             a_k = st.a
             if a_k > 1:
-                mk_red = (st.m // st.d) % a_k
-                j = (rem // st.d) * pow(mk_red, -1, a_k) % a_k
+                j = (rem // st.d) * st.m_inv % a_k
                 if j:
                     gexps[k] = j
                     rem -= j * st.m
@@ -185,37 +195,57 @@ class Chain:
         """g_0^j_0 ... g_s^j_s, cached: (symbolic, image, Pack of the
         image's num, z-leading coefficient).
 
-        An uncached g-part is the g-part with its last nonzero exponent
-        lowered by one, times that chain element; the walk down stops at
-        the first cached one, then multiplies back up.
+        An uncached g-part with s its last nonzero index is built from two
+        halves, each looked up in, or built into, the same table: its
+        prefix (j_s set to 0) times the pure power g_s^j_s when the prefix
+        is not 1, else g_s^(j_s//2) * g_s^(j_s - j_s//2); g_s itself is
+        the chain element.  The image's num is the product of the halves'
+        packs.  Recursion is no deeper than s plus the bit length of j_s.
         """
         key = _strip(gexps)
         got = self._gparts.get(key)
-        missing = []
-        while got is None:
-            missing.append(key)
-            key = _strip(key[:-1] + (key[-1] - 1,))
-            got = self._gparts.get(key)
-        for key in reversed(missing):
-            st = self.steps[len(key) - 1]
-            img = got[1] * st.image
-            lc = self.field.reduce(got[3] * st.image.z_leading_coefficient())
-            got = self._gparts[key] = (got[0] * st.symbolic, img, Pack(img.num), lc)
+        if got is None:
+            head, j = key[:-1], key[-1]
+            pure = (0,) * len(head)
+            if any(head) or j > 1:
+                if any(head):
+                    a, b = self._gpart(head), self._gpart(pure + (j,))
+                else:
+                    a, b = self._gpart(pure + (j // 2,)), self._gpart(pure + (j - j // 2,))
+                img = FImage(a[2].times(b[2]), a[1].fpow + b[1].fpow, self.f)
+                sym, lc = a[0] * b[0], a[3] * b[3]
+            else:
+                st = self.steps[len(head)]
+                sym, img, lc = st.symbolic, st.image, st.image.z_leading_coefficient()
+            got = self._gparts[key] = (sym, img, Pack(img.num), self.field.reduce(lc))
         return got
 
     def monomial_image(self, mono):
         """The monomial evaluated at (f(z), g(z)), as an element of K[z, f^-1]."""
-        img = self._gpart(mono.gexps)[1]
+        _, img, gp, _ = self._gpart(mono.gexps)
         e = mono.fexp
         if e > 0:
-            return FImage(self.f_power(e).times(img.num), img.fpow, self.f)
+            return FImage(self.f_power(e).times(gp), img.fpow, self.f)
         if e < 0:
             return FImage(img.num, img.fpow - e, self.f)
         return img
 
     def monomial_z_lc(self, mono):
-        """Leading z-coefficient of the monomial image, from factor lcs only."""
-        return self.field.reduce(self._gpart(mono.gexps)[3] * self.f_lc_power(mono.fexp))
+        """Leading z-coefficient of the monomial image, from factor lcs only,
+        as ints (zn, zd) with the coefficient zn / zd: no Fraction is built."""
+        zlc = self._gpart(mono.gexps)[3]
+        u, v = self.f_lc_power(mono.fexp)
+        return zlc.numerator * u, zlc.denominator * v
+
+
+def lc_agrees(lc, den, z_lc, f_lc_pow, p):
+    """Whether lc / den == (zn / zd) * (u / v), for z_lc = (zn, zd) and
+    f_lc_pow = (u, v) with den, zd, v nonzero (mod p over F_p): the
+    equation cross-multiplied, lc * zd * v == zn * den * u, in ints, or mod
+    p when p is not None."""
+    (zn, zd), (u, v) = z_lc, f_lc_pow
+    diff = lc * zd * v - zn * den * u
+    return not (diff if p is None else diff % p)
 
 
 def _strip(gexps):
@@ -396,8 +426,8 @@ class Residual:
             t = 0
         prod, n, width, bound, den, content = self.event_product(mono.gexps, gp, t)
         lc = top_digit(prod, width)[1]
-        z_lc = field.div(field.quotient(lc, den), chain.f_lc_power(self.fpow))
-        if z_lc != chain.monomial_z_lc(mono):
+        # the image's z-lc is lc / (den * lc(f)^fpow)
+        if not lc_agrees(lc, den, chain.monomial_z_lc(mono), chain.f_lc_power(self.fpow), p):
             raise InternalInvariantViolation(
                 "monomial image leading coefficient disagrees with factor product"
             )

@@ -14,7 +14,7 @@ never by one `Fraction` per coefficient.
 
 The engine's reduction events use the packed form directly: a `Pack`
 holds one polynomial's nums at their natural slot width (`times`
-multiplies it by another polynomial without packing it again), `widen` re-cuts
+multiplies two of them without packing either again), `widen` re-cuts
 a packed value to wider slots by strided byte copies, and `top_digit`
 reads the leading slot of a packed value without unpacking it.
 
@@ -133,9 +133,10 @@ class Pack:
     denominator.
     """
 
-    __slots__ = ("raw", "n", "width", "half", "bound", "content", "den")
+    __slots__ = ("field", "raw", "n", "width", "half", "bound", "content", "den")
 
     def __init__(self, poly):
+        self.field = poly.field
         nums = poly.nums
         self.n = len(nums)
         self.bound = max(map(abs, nums))
@@ -149,18 +150,16 @@ class Pack:
         """The nums packed with `width`-byte slots, `width` >= self.width."""
         return _restride(self.raw, self.n, self.width, width, self.half)
 
-    def times(self, poly):
-        """The packed polynomial times `poly`, by one Kronecker product.
+    def times(self, other):
+        """The polynomial times another Pack's, by one Kronecker product.
 
-        This side is restrided from its pack, not packed again, so a
-        product with a cached Pack costs one packing, not two.
+        Both sides are restrided from their packs, not packed again.
         """
-        nums = poly.nums
-        bound = self.bound * max(map(abs, nums)) * min(self.n, len(nums))
+        bound = self.bound * other.bound * min(self.n, other.n)
         width = slot_width(bound)
-        value = self.at(width) * _pack(nums, width)
-        return UniPoly._normal(poly.field, _unpack(value, self.n + len(nums) - 1, width),
-                               self.den * poly.den)
+        value = self.at(width) * other.at(width)
+        return UniPoly._normal(self.field, _unpack(value, self.n + other.n - 1, width),
+                               self.den * other.den)
 
 
 def _kronecker(a, b):

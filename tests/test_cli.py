@@ -643,8 +643,8 @@ def test_parse_polynomial_leaves_the_digit_limit_alone():
 
 
 def test_depend_past_the_recursion_limit(capsys):
-    # f^1200 comes by square-and-multiply and g^1199 from the g-part walk,
-    # one product at a time; neither recurses
+    # f^1200 and g^1199 are built by halving through their tables, which
+    # recurses only as deep as the bit length of the exponent
     for f, g, relation in [("z", "z^1200", "P = g - f^1200"), ("z^1200", "z", "P = g^1200 - f")]:
         code, out, err = run_cli(capsys, "depend", f, g)
         assert (code, err) == (0, "")

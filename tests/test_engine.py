@@ -5,6 +5,8 @@ import weakref
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from polydep import (
     Chain,
@@ -22,8 +24,8 @@ from polydep import (
     substitute,
 )
 from polydep import engine, laurent
-from polydep.engine import Residual
-from polydep.unipoly import _unpack, widen
+from polydep.engine import Residual, lc_agrees
+from polydep.unipoly import Pack, _unpack, widen
 from polydep.errors import (
     ConstantInput,
     InternalInvariantViolation,
@@ -250,6 +252,7 @@ def check_chain_invariants(result):
             assert st.m % d_prev != 0
         assert st.d == math.gcd(d_prev, abs(st.m))
         assert st.a == d_prev // st.d
+        assert st.a == 1 or st.m // st.d * st.m_inv % st.a == 1
         assert st.d < d_prev or st.index == 0
         assert st.symbolic.deg_g == prefix
         assert st.symbolic.is_monic_in_g()
@@ -573,6 +576,75 @@ def test_a_product_wider_than_the_residual_widens_it(monkeypatch, name):
     assert (got.trace, got.relation) == (expected.trace, expected.relation)
 
 
+def pack_slots(pack):
+    return tuple(getattr(pack, name) for name in Pack.__slots__)
+
+
+TABLE_PAIRS = {
+    **BENCH_SIZED,
+    "automorphic-96x24": lambda: automorphic_pair_of_moves(random.Random(96), (2, 3, 4, 4)),
+}
+
+
+@pytest.mark.parametrize("name", list(TABLE_PAIRS))
+def test_table_entries_equal_their_direct_values(name):
+    # every entry is built from two others; each must equal its value
+    # computed directly from f and the chain elements
+    result = run(*TABLE_PAIRS[name]())
+    chain, f = result.chain, result.f
+    for e, pack in chain._f_pows.items():
+        assert pack_slots(pack) == pack_slots(Pack(f**e))
+    assert len(chain._gparts) > len(chain.steps) + 1
+    for key, (sym, img, pack, z_lc) in chain._gparts.items():
+        want_sym, want_img = Laurent2.one(result.field), FImage.from_poly(UniPoly.one(f.field), f)
+        for st, j in zip(chain.steps, key):
+            want_sym, want_img = want_sym * st.symbolic**j, want_img * st.image**j
+        assert (sym, img, z_lc) == (want_sym, want_img, want_img.z_leading_coefficient())
+        assert pack_slots(pack) == pack_slots(Pack(img.num))
+
+
+def count_table_products(monkeypatch):
+    """Products made inside Chain.f_power and Chain._gpart, counted per table."""
+    inside, counts = [], {"f_power": 0, "_gpart": 0}
+    for name in counts:
+        original = getattr(Chain, name)
+
+        def tracked(self, arg, name=name, original=original):
+            inside.append(name)
+            try:
+                return original(self, arg)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Chain, name, tracked)
+    for cls, name in ((UniPoly, "__mul__"), (Pack, "times")):
+        original = getattr(cls, name)
+
+        def counted(self, other, original=original):
+            if inside:
+                counts[inside[-1]] += 1
+            return original(self, other)
+
+        monkeypatch.setattr(cls, name, counted)
+    return counts
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: dense_pair(Q, 8, 12, 1, lcs=(2, -3)),
+    lambda: dense_pair(Q, 24, 36, 1, lcs=(2, -3)),
+], ids=["q-8x12", "q-24x36"])
+def test_tables_make_about_one_product_per_entry(monkeypatch, pair):
+    # dense steps ask for powers of f in descending order; each entry
+    # costs one product, plus at most two per halving level for the
+    # entries below it that no event named
+    counts = count_table_products(monkeypatch)
+    chain = run(*pair()).chain
+    top = max(chain._f_pows)
+    assert top > 2 and counts["f_power"] <= len(chain._f_pows) + 2 * top.bit_length()
+    top = max(map(max, filter(None, chain._gparts)))
+    assert counts["_gpart"] <= len(chain._gparts) + 2 * top.bit_length()
+
+
 def test_residual_keeps_its_value_under_a_power_of_f():
     # over Q a run never raises the residual's power of f, so a non-integer
     # f with content is tried here directly
@@ -586,10 +658,66 @@ def test_residual_keeps_its_value_under_a_power_of_f():
 
 
 def test_wrong_monomial_lc_is_an_invariant_violation(monkeypatch):
+    # the expected z-lc, zn / zd, raised by one
     original = Chain.monomial_z_lc
-    monkeypatch.setattr(Chain, "monomial_z_lc", lambda self, mono: original(self, mono) + 1)
+
+    def raised(self, mono):
+        zn, zd = original(self, mono)
+        return zn + zd, zd
+
+    monkeypatch.setattr(Chain, "monomial_z_lc", raised)
     with pytest.raises(InternalInvariantViolation, match="leading coefficient"):
         run(*golden_pair(Q))
+
+
+@pytest.mark.parametrize("field", [Q, prime_field(10007)], ids=["q", "fp10007"])
+def test_wrong_product_lc_is_an_invariant_violation(monkeypatch, field):
+    # an event product whose top digit reads one too high
+    original = Residual.event_product
+
+    def raised(self, gexps, gp, t):
+        value, slots, width, *rest = original(self, gexps, gp, t)
+        return (value + (1 << (8 * width * (slots - 1))), slots, width, *rest)
+
+    monkeypatch.setattr(Residual, "event_product", raised)
+    with pytest.raises(InternalInvariantViolation, match="leading coefficient"):
+        run(*dense_pair(field, 8, 12, 5, lcs=(Fraction(2, 3), -3), den=4))
+
+
+NONZERO = st.integers(-50, 50).filter(bool)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-10**6, 10**6), st.integers(1, 500), NONZERO, st.integers(1, 50),
+       NONZERO, st.integers(1, 50), st.integers(-6, 6), st.booleans())
+@example(lc=-54, den=8, zn=3, zd=4, ln=-2, ld=3, e=-2, matched=True)
+@example(lc=-54, den=8, zn=3, zd=4, ln=-2, ld=3, e=-2, matched=False)
+def test_integer_lc_check_agrees_with_the_fraction_equation(lc, den, zn, zd, ln, ld, e, matched):
+    # lc / den == z_lc * lc(f)^e, with lc(f) = ln / ld of either sign and e
+    # of either sign; `matched` picks lc / den on the equation's right side
+    z_lc, f_lc = Fraction(zn, zd), Fraction(ln, ld)
+    if matched:
+        rhs = z_lc * f_lc**e
+        lc, den = rhs.numerator * den, rhs.denominator * den
+    # f's den is a multiple of 7, so its top num and den need not be coprime
+    chain = Chain(Q, poly(Q, Fraction(1, 7), f_lc))
+    assert lc_agrees(lc, den, (zn, zd), chain.f_lc_power(e), None) == (
+        Fraction(lc, den) == z_lc * f_lc**e
+    )
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 10**12), st.integers(1, 10006), st.integers(1, 10006),
+       st.integers(1, 10006), st.integers(-6, 6), st.booleans())
+def test_integer_lc_check_agrees_mod_p(lc, den, z_lc, f_lc, e, matched):
+    field = prime_field(10007)
+    rhs = z_lc * field.pow(f_lc, e) % field.p
+    if matched:
+        lc = rhs * den + field.p * (lc % 7)
+    chain = Chain(field, poly(field, 1, f_lc))
+    assert lc_agrees(lc, den, (z_lc, 1), chain.f_lc_power(e), field.p) == (
+        field.quotient(lc, den) == rhs
+    )
 
 
 def test_stalled_degree_is_an_invariant_violation(monkeypatch):
@@ -603,15 +731,16 @@ def test_stalled_degree_is_an_invariant_violation(monkeypatch):
 
 
 def count_products(monkeypatch):
-    """Wrap UniPoly.__mul__; the returned list grows by one per product."""
+    """Wrap UniPoly.__mul__ and Pack.times; the returned list grows by one per product."""
     calls = []
-    original = UniPoly.__mul__
+    for cls, name in ((UniPoly, "__mul__"), (Pack, "times")):
+        original = getattr(cls, name)
 
-    def counted(self, other):
-        calls.append(None)
-        return original(self, other)
+        def counted(self, other, original=original):
+            calls.append(None)
+            return original(self, other)
 
-    monkeypatch.setattr(UniPoly, "__mul__", counted)
+        monkeypatch.setattr(cls, name, counted)
     return calls
 
 
@@ -619,10 +748,11 @@ FIELDS = [pytest.param(Q, id="q"), pytest.param(prime_field(10007), id="fp10007"
 
 
 @pytest.mark.parametrize("field", FIELDS)
-@pytest.mark.parametrize("n, m", [(2, 20001), (1, 100000)])
+@pytest.mark.parametrize("n, m", [(2, 20001), (1, 100000), (4001, 2), (100000, 3)])
 def test_sparse_exponent_costs_products_per_event_not_per_power(monkeypatch, field, n, m):
-    # one event with f^m: square-and-multiply from the cached powers, where
-    # a walk over every power below m would take m products
+    # one event with f^m after the top g-part g^(n-1): each is built by
+    # halving through its table, where a walk over every power below the
+    # exponent would take that many products
     products = count_products(monkeypatch)
     seam = count_calls(monkeypatch, "event_product")
     result = run(z_pow(field, n), z_pow(field, m))
